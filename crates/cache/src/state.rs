@@ -15,6 +15,9 @@ pub struct CacheState {
     pub io: f64,
 }
 
+/// Floating-point tolerance on `AO + IO <= 1`.
+const SUM_SLACK: f64 = 1e-9;
+
 impl CacheState {
     /// Construct a cache state.
     ///
@@ -25,8 +28,16 @@ impl CacheState {
     pub fn new(ao: f64, io: f64) -> CacheState {
         assert!((0.0..=1.0).contains(&ao), "AO out of range: {ao}");
         assert!((0.0..=1.0).contains(&io), "IO out of range: {io}");
-        assert!(ao + io <= 1.0 + 1e-9, "AO + IO > 1: {ao} + {io}");
+        assert!(ao + io <= 1.0 + SUM_SLACK, "AO + IO > 1: {ao} + {io}");
         CacheState { ao, io }
+    }
+
+    /// [`CacheState::new`] for rates read from untrusted input: `None`
+    /// where `new` would panic.
+    pub fn try_new(ao: f64, io: f64) -> Option<CacheState> {
+        let valid =
+            (0.0..=1.0).contains(&ao) && (0.0..=1.0).contains(&io) && ao + io <= 1.0 + SUM_SLACK;
+        valid.then_some(CacheState { ao, io })
     }
 
     /// The initial CST-measurement state: cache full of other data,
@@ -85,5 +96,16 @@ mod tests {
     #[should_panic(expected = "AO + IO > 1")]
     fn rejects_oversum() {
         let _ = CacheState::new(0.7, 0.7);
+    }
+
+    #[test]
+    fn try_new_declines_what_new_panics_on() {
+        assert_eq!(
+            CacheState::try_new(0.4, 0.6),
+            Some(CacheState::new(0.4, 0.6))
+        );
+        assert_eq!(CacheState::try_new(-0.1, 0.5), None);
+        assert_eq!(CacheState::try_new(0.7, 0.7), None);
+        assert_eq!(CacheState::try_new(f64::NAN, 0.0), None);
     }
 }

@@ -26,7 +26,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use sca_attacks::AttackFamily;
@@ -41,7 +41,8 @@ use crate::engine::{
     SimilarityEngine,
 };
 use crate::index::{IndexConfig, IndexMismatch, QueryContext, RepoIndex};
-use crate::modeling::{build_model, ModelError, ModelingConfig};
+use crate::modeling::{build_model, fnv1a, ModelError, ModelingConfig};
+use crate::persist::repository_to_string;
 
 /// One PoC model in the repository.
 #[derive(Debug, Clone)]
@@ -59,6 +60,11 @@ pub struct RepoEntry {
 #[derive(Debug, Clone, Default)]
 pub struct ModelRepository {
     entries: Vec<RepoEntry>,
+    /// FNV-1a of the repository's text form, once known (see
+    /// [`crate::repo_fingerprint`]). Seeded by the loader with the bytes
+    /// it parsed and by the saver with the bytes it wrote; every
+    /// mutation clears it.
+    fingerprint: OnceLock<u64>,
 }
 
 impl ModelRepository {
@@ -69,6 +75,7 @@ impl ModelRepository {
 
     /// Add a prebuilt model.
     pub fn add_model(&mut self, family: AttackFamily, name: impl Into<String>, model: CstBbs) {
+        self.fingerprint.take();
         self.entries.push(RepoEntry {
             family,
             name: name.into().into(),
@@ -126,10 +133,25 @@ impl ModelRepository {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
+
+    /// See [`crate::repo_fingerprint`]: the cached value, or FNV-1a of
+    /// the canonical text when none is known.
+    pub(crate) fn fingerprint(&self) -> u64 {
+        *self
+            .fingerprint
+            .get_or_init(|| fnv1a(repository_to_string(self).as_bytes()))
+    }
+
+    /// Take `text` as the repository's text form for its fingerprint,
+    /// unless one is already known.
+    pub(crate) fn seed_fingerprint(&self, text: &str) {
+        self.fingerprint.get_or_init(|| fnv1a(text.as_bytes()));
+    }
 }
 
 impl Extend<RepoEntry> for ModelRepository {
     fn extend<I: IntoIterator<Item = RepoEntry>>(&mut self, iter: I) {
+        self.fingerprint.take();
         self.entries.extend(iter);
     }
 }

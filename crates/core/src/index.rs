@@ -37,8 +37,6 @@ use sca_isa::NormInst;
 
 use crate::cst::CstBbs;
 use crate::detector::ModelRepository;
-use crate::modeling::fnv1a;
-use crate::persist::repository_to_string;
 use crate::similarity::levenshtein;
 
 /// Tuning knobs for [`RepoIndex::build`].
@@ -78,9 +76,9 @@ pub(crate) struct EntryPivots {
 /// Built once at enroll time ([`RepoIndex::build`]), persisted via
 /// `persist::save_index`, and attached to a `Detector` with
 /// `Detector::set_index`. [`RepoIndex::matches`] ties an index to the
-/// exact repository it was built from (FNV-1a over the repository's
-/// canonical serialization), so stale or foreign sidecars are rejected
-/// and rebuilt instead of silently degrading a scan.
+/// exact repository it was built from ([`repo_fingerprint`]), so stale
+/// or foreign sidecars are rejected and rebuilt instead of silently
+/// degrading a scan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RepoIndex {
     pub(crate) fingerprint: u64,
@@ -97,10 +95,21 @@ pub struct RepoIndex {
     max_lens: Vec<u32>,
 }
 
-/// Fingerprint of a repository's canonical serialization — the identity
-/// an index is bound to.
+/// The identity an index is bound to: FNV-1a of the repository's text.
+///
+/// For a repository read from a file (or [`ModelRepository::from_text`])
+/// that is the text as read — the sidecar is keyed to the repository
+/// file's bytes, fingerprinted while they are in hand. For one built in
+/// memory it is the canonical serialization
+/// ([`crate::persist::repository_to_string`]). The two agree for every
+/// file `build-repo` writes. A file that differs from its canonical
+/// text, by a whitespace edit say, fingerprints differently: its sidecar
+/// reads as stale and the index is rebuilt in memory, with unchanged
+/// detections. The value is cached on the repository until its next
+/// mutation, so only a repository built in memory is ever serialized
+/// here.
 pub fn repo_fingerprint(repo: &ModelRepository) -> u64 {
-    fnv1a(repository_to_string(repo).as_bytes())
+    repo.fingerprint()
 }
 
 /// An index was attached to a repository it was not built from.

@@ -16,6 +16,7 @@
 //! end
 //! ```
 
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::fs;
@@ -170,11 +171,100 @@ pub fn model_text(model: &CstBbs) -> String {
     out
 }
 
+/// The records of a file in the line format `magic` heads: after the
+/// header, each trimmed, non-blank line as its 1-based number, its record
+/// kind, and the rest of the line.
+fn records<'t>(
+    text: &'t str,
+    magic: &str,
+) -> Result<impl Iterator<Item = (usize, &'t str, &'t str)>, LoadRepoError> {
+    let mut lines = text.lines().enumerate();
+    match lines.next() {
+        Some((_, first)) if first.trim() == magic => {}
+        Some((_, first)) => return Err(perr(1, format!("expected `{magic}`, got `{first}`"))),
+        None => return Err(perr(1, "empty file")),
+    }
+    Ok(lines.filter_map(|(idx, raw)| {
+        let line = raw.trim();
+        if line.is_empty() {
+            return None;
+        }
+        let (kind, rest) = line.split_once(' ').unwrap_or((line, ""));
+        Some((idx + 1, kind, rest))
+    }))
+}
+
+/// Reads the `step` and `inst` records the repository and model-cache
+/// formats share into the open block's model, without allocating per
+/// line: step fields are parsed in place, each distinct instruction text
+/// is parsed once, and each step's instructions land in one exactly
+/// sized allocation.
+#[derive(Default)]
+struct StepReader<'t> {
+    /// The instructions parsed so far, by their text. Models repeat a
+    /// handful of instructions: the 1028-entry repository `build-repo
+    /// --variants 256` writes has 25 distinct texts on 81,445 `inst`
+    /// lines.
+    memo: HashMap<&'t str, NormInst>,
+    /// The open block's steps.
+    steps: Vec<CstStep>,
+    /// The last step's instructions so far, moved into it when the next
+    /// step starts or the block ends.
+    insts: Vec<NormInst>,
+}
+
+impl<'t> StepReader<'t> {
+    /// Read a `step` record.
+    fn step(&mut self, rest: &str, line_no: usize) -> Result<(), LoadRepoError> {
+        self.close_step();
+        self.steps.push(parse_step(rest, line_no)?);
+        Ok(())
+    }
+
+    /// Read an `inst` record into the last step.
+    fn inst(&mut self, rest: &'t str, line_no: usize) -> Result<(), LoadRepoError> {
+        if self.steps.is_empty() {
+            return Err(perr(line_no, "inst before any step"));
+        }
+        let inst = match self.memo.get(rest) {
+            Some(&inst) => inst,
+            None => {
+                let inst = parse_inst(rest, line_no)?;
+                self.memo.insert(rest, inst);
+                inst
+            }
+        };
+        self.insts.push(inst);
+        Ok(())
+    }
+
+    fn close_step(&mut self) {
+        if let Some(step) = self.steps.last_mut() {
+            step.norm_insts = self.insts.as_slice().to_vec();
+            self.insts.clear();
+        }
+    }
+
+    /// The block's model; the reader is then ready for the next block.
+    fn finish(&mut self) -> CstBbs {
+        self.close_step();
+        self.steps.drain(..).collect()
+    }
+}
+
 /// Parse one `step` record body into a [`CstStep`] (instructions are
 /// appended by subsequent `inst` records).
 fn parse_step(rest: &str, line_no: usize) -> Result<CstStep, LoadRepoError> {
-    let fields: Vec<&str> = rest.split_whitespace().collect();
-    if fields.len() != 6 {
+    let mut fields = [""; 6];
+    let mut n = 0;
+    for field in rest.split_whitespace() {
+        if n == fields.len() {
+            return Err(perr(line_no, "step needs 6 fields"));
+        }
+        fields[n] = field;
+        n += 1;
+    }
+    if n != fields.len() {
         return Err(perr(line_no, "step needs 6 fields"));
     }
     let bb_addr = u64::from_str_radix(fields[0], 16)
@@ -182,22 +272,26 @@ fn parse_step(rest: &str, line_no: usize) -> Result<CstStep, LoadRepoError> {
     let first_seen: u64 = fields[1]
         .parse()
         .map_err(|e| perr(line_no, format!("bad timestamp: {e}")))?;
-    let nums: Vec<f64> = fields[2..]
-        .iter()
-        .map(|f| f.parse::<f64>())
-        .collect::<Result<_, _>>()
-        .map_err(|e| perr(line_no, format!("bad occupancy: {e}")))?;
-    if nums.iter().any(|n| !(0.0..=1.0).contains(n)) {
+    let mut occ = [0.0f64; 4];
+    for (slot, field) in occ.iter_mut().zip(&fields[2..]) {
+        *slot = field
+            .parse()
+            .map_err(|e| perr(line_no, format!("bad occupancy: {e}")))?;
+    }
+    if occ.iter().any(|n| !(0.0..=1.0).contains(n)) {
         return Err(perr(line_no, "occupancy out of [0, 1]"));
     }
+    let (Some(before), Some(after)) = (
+        CacheState::try_new(occ[0], occ[1]),
+        CacheState::try_new(occ[2], occ[3]),
+    ) else {
+        return Err(perr(line_no, "occupancy AO + IO above 1"));
+    };
     Ok(CstStep {
         bb_addr,
         first_seen,
         norm_insts: Vec::new(),
-        cst: Cst {
-            before: CacheState::new(nums[0], nums[1]),
-            after: CacheState::new(nums[2], nums[3]),
-        },
+        cst: Cst { before, after },
     })
 }
 
@@ -218,7 +312,8 @@ pub fn repository_to_string(repo: &ModelRepository) -> String {
     out
 }
 
-/// Parse a repository from the text format.
+/// Parse a repository from the text format. The repository's
+/// fingerprint ([`crate::repo_fingerprint`]) is that of `text` itself.
 ///
 /// # Errors
 ///
@@ -226,22 +321,10 @@ pub fn repository_to_string(repo: &ModelRepository) -> String {
 /// malformed content (wrong magic, unknown family, bad numbers, steps
 /// outside an entry, truncated entries).
 pub fn repository_from_str(text: &str) -> Result<ModelRepository, LoadRepoError> {
-    let mut lines = text.lines().enumerate();
-    match lines.next() {
-        Some((_, first)) if first.trim() == MAGIC => {}
-        Some((_, first)) => return Err(perr(1, format!("expected `{MAGIC}`, got `{first}`"))),
-        None => return Err(perr(1, "empty file")),
-    }
-
+    let mut body = StepReader::default();
     let mut repo = ModelRepository::new();
-    let mut current: Option<(AttackFamily, String, Vec<CstStep>)> = None;
-    for (idx, raw) in lines {
-        let line_no = idx + 1;
-        let line = raw.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let (kind, rest) = line.split_once(' ').unwrap_or((line, ""));
+    let mut current: Option<(AttackFamily, &str)> = None;
+    for (line_no, kind, rest) in records(text, MAGIC)? {
         match kind {
             "entry" => {
                 if current.is_some() {
@@ -252,28 +335,18 @@ pub fn repository_from_str(text: &str) -> Result<ModelRepository, LoadRepoError>
                     .ok_or_else(|| perr(line_no, "entry needs `<family> <name>`"))?;
                 let family = AttackFamily::from_abbrev(abbrev)
                     .ok_or_else(|| perr(line_no, format!("unknown family `{abbrev}`")))?;
-                current = Some((family, name.to_string(), Vec::new()));
+                current = Some((family, name));
             }
-            "step" => {
-                let (_, _, steps) = current
-                    .as_mut()
-                    .ok_or_else(|| perr(line_no, "step outside an entry"))?;
-                steps.push(parse_step(rest, line_no)?);
+            "step" | "inst" if current.is_none() => {
+                return Err(perr(line_no, format!("{kind} outside an entry")));
             }
-            "inst" => {
-                let (_, _, steps) = current
-                    .as_mut()
-                    .ok_or_else(|| perr(line_no, "inst outside an entry"))?;
-                let step = steps
-                    .last_mut()
-                    .ok_or_else(|| perr(line_no, "inst before any step"))?;
-                step.norm_insts.push(parse_inst(rest, line_no)?);
-            }
+            "step" => body.step(rest, line_no)?,
+            "inst" => body.inst(rest, line_no)?,
             "end" => {
-                let (family, name, steps) = current
+                let (family, name) = current
                     .take()
                     .ok_or_else(|| perr(line_no, "end outside an entry"))?;
-                repo.add_model(family, name, CstBbs::new(steps));
+                repo.add_model(family, name, body.finish());
             }
             other => return Err(perr(line_no, format!("unknown record `{other}`"))),
         }
@@ -281,6 +354,7 @@ pub fn repository_from_str(text: &str) -> Result<ModelRepository, LoadRepoError>
     if current.is_some() {
         return Err(perr(text.lines().count(), "unterminated entry"));
     }
+    repo.seed_fingerprint(text);
     Ok(repo)
 }
 
@@ -294,10 +368,13 @@ pub fn save_repository(
     path: impl AsRef<Path>,
 ) -> Result<(), LoadRepoError> {
     let path = path.as_ref();
-    fs::write(path, repository_to_string(repo)).map_err(|error| LoadRepoError::Io {
+    let text = repository_to_string(repo);
+    fs::write(path, &text).map_err(|error| LoadRepoError::Io {
         path: Some(path.to_path_buf()),
         error,
-    })
+    })?;
+    repo.seed_fingerprint(&text);
+    Ok(())
 }
 
 /// Read a repository from `path`.
@@ -358,67 +435,44 @@ pub fn model_cache_to_string<'a>(
 /// malformed content (wrong magic, missing keys, bad numbers, records
 /// outside a `model` block, truncated blocks).
 pub fn model_cache_from_str(text: &str) -> Result<Vec<(String, CstBbs)>, LoadRepoError> {
-    let mut lines = text.lines().enumerate();
-    match lines.next() {
-        Some((_, first)) if first.trim() == CACHE_MAGIC => {}
-        Some((_, first)) => {
-            return Err(perr(1, format!("expected `{CACHE_MAGIC}`, got `{first}`")))
-        }
-        None => return Err(perr(1, "empty file")),
-    }
-
+    let mut body = StepReader::default();
     let mut entries = Vec::new();
-    let mut current: Option<(Option<String>, Vec<CstStep>)> = None;
-    for (idx, raw) in lines {
-        let line_no = idx + 1;
-        let line = raw.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let (kind, rest) = line.split_once(' ').unwrap_or((line, ""));
+    // The open model's key, once read.
+    let mut current: Option<Option<&str>> = None;
+    for (line_no, kind, rest) in records(text, CACHE_MAGIC)? {
         match kind {
             "model" => {
                 if current.is_some() {
                     return Err(perr(line_no, "model inside an unterminated model"));
                 }
-                current = Some((None, Vec::new()));
+                current = Some(None);
             }
             "key" => {
-                let (key, steps) = current
+                let key = current
                     .as_mut()
                     .ok_or_else(|| perr(line_no, "key outside a model"))?;
                 if key.is_some() {
                     return Err(perr(line_no, "duplicate key"));
                 }
-                if !steps.is_empty() {
+                if !body.steps.is_empty() {
                     return Err(perr(line_no, "key after steps"));
                 }
                 if rest.is_empty() {
                     return Err(perr(line_no, "empty key"));
                 }
-                *key = Some(rest.to_string());
+                *key = Some(rest);
             }
-            "step" => {
-                let (_, steps) = current
-                    .as_mut()
-                    .ok_or_else(|| perr(line_no, "step outside a model"))?;
-                steps.push(parse_step(rest, line_no)?);
+            "step" | "inst" if current.is_none() => {
+                return Err(perr(line_no, format!("{kind} outside a model")));
             }
-            "inst" => {
-                let (_, steps) = current
-                    .as_mut()
-                    .ok_or_else(|| perr(line_no, "inst outside a model"))?;
-                let step = steps
-                    .last_mut()
-                    .ok_or_else(|| perr(line_no, "inst before any step"))?;
-                step.norm_insts.push(parse_inst(rest, line_no)?);
-            }
+            "step" => body.step(rest, line_no)?,
+            "inst" => body.inst(rest, line_no)?,
             "end" => {
-                let (key, steps) = current
+                let key = current
                     .take()
                     .ok_or_else(|| perr(line_no, "end outside a model"))?;
                 let key = key.ok_or_else(|| perr(line_no, "model without a key"))?;
-                entries.push((key, CstBbs::new(steps)));
+                entries.push((key.to_string(), body.finish()));
             }
             other => return Err(perr(line_no, format!("unknown record `{other}`"))),
         }
@@ -772,20 +826,121 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// Every malformed repository fails with its exact 1-based line and
+    /// reason.
     #[test]
     fn rejects_malformed_content() {
-        assert!(ModelRepository::from_text("").is_err());
-        assert!(ModelRepository::from_text("not a repo\n").is_err());
-        let bad_family = format!("{MAGIC}\nentry XX-F name\nend\n");
-        assert!(ModelRepository::from_text(&bad_family).is_err());
-        let stray_step = format!("{MAGIC}\nstep 0 0 0 1 0 1\n");
-        assert!(ModelRepository::from_text(&stray_step).is_err());
-        let unterminated = format!("{MAGIC}\nentry FR-F x\n");
-        assert!(ModelRepository::from_text(&unterminated).is_err());
-        let bad_occupancy = format!("{MAGIC}\nentry FR-F x\nstep 0 0 2.0 0 0 1\nend\n");
-        assert!(ModelRepository::from_text(&bad_occupancy).is_err());
-        let bad_inst = format!("{MAGIC}\nentry FR-F x\nstep 0 0 0 1 0 1\ninst frob reg\nend\n");
-        assert!(ModelRepository::from_text(&bad_inst).is_err());
+        let m = MAGIC;
+        let cases = [
+            (String::new(), 1, "empty file".to_string()),
+            (
+                "not a repo\n".into(),
+                1,
+                format!("expected `{m}`, got `not a repo`"),
+            ),
+            (
+                format!("{m}\nentry XX-F name\nend\n"),
+                2,
+                "unknown family `XX-F`".into(),
+            ),
+            (
+                format!("{m}\nentry FR-F\n"),
+                2,
+                "entry needs `<family> <name>`".into(),
+            ),
+            (
+                format!("{m}\nentry FR-F x\nentry FR-F y\n"),
+                3,
+                "entry inside an unterminated entry".into(),
+            ),
+            (
+                format!("{m}\nstep 0 0 0 1 0 1\n"),
+                2,
+                "step outside an entry".into(),
+            ),
+            (
+                format!("{m}\n\n   \nstep 0 0 0 1 0 1\n"),
+                4,
+                "step outside an entry".into(),
+            ),
+            (
+                format!("{m}\ninst nop\n"),
+                2,
+                "inst outside an entry".into(),
+            ),
+            (format!("{m}\nend\n"), 2, "end outside an entry".into()),
+            (format!("{m}\nfoo bar\n"), 2, "unknown record `foo`".into()),
+            (
+                format!("{m}\nentry FR-F x\ninst nop\nend\n"),
+                3,
+                "inst before any step".into(),
+            ),
+            (
+                format!("{m}\nentry FR-F x\n"),
+                2,
+                "unterminated entry".into(),
+            ),
+            (
+                format!("{m}\nentry FR-F x\nstep 0 0 0 1 0 1\n\n"),
+                4,
+                "unterminated entry".into(),
+            ),
+            (
+                format!("{m}\nentry FR-F x\nstep 0 0 0 1\nend\n"),
+                3,
+                "step needs 6 fields".into(),
+            ),
+            (
+                format!("{m}\nentry FR-F x\nstep 0 0 0 1 0 1 0\nend\n"),
+                3,
+                "step needs 6 fields".into(),
+            ),
+            (
+                format!("{m}\nentry FR-F x\nstep zz!! 0 0 1 0 1\nend\n"),
+                3,
+                "bad address: invalid digit found in string".into(),
+            ),
+            (
+                format!("{m}\nentry FR-F x\nstep 0 -4 0 1 0 1\nend\n"),
+                3,
+                "bad timestamp: invalid digit found in string".into(),
+            ),
+            (
+                format!("{m}\nentry FR-F x\nstep 0 0 2.0 nine 0 1\nend\n"),
+                3,
+                "bad occupancy: invalid float literal".into(),
+            ),
+            (
+                format!("{m}\nentry FR-F x\nstep 0 0 2.0 0 0 1\nend\n"),
+                3,
+                "occupancy out of [0, 1]".into(),
+            ),
+            (
+                format!("{m}\nentry FR-F x\nstep 0 0 NaN 0 0 1\nend\n"),
+                3,
+                "occupancy out of [0, 1]".into(),
+            ),
+            (
+                format!("{m}\nentry FR-F x\nstep 0 0 0 1 0 1\ninst frob reg\nend\n"),
+                4,
+                "invalid normalized instruction `frob reg`".into(),
+            ),
+            (
+                format!(
+                    "{m}\nentry FR-F x\nstep 0 0 0 1 0 1\ninst nop\ninst mov reg, imm, mem\nend\n"
+                ),
+                5,
+                "invalid normalized instruction `mov reg, imm, mem`".into(),
+            ),
+        ];
+        for (text, line, reason) in &cases {
+            let err = ModelRepository::from_text(text).expect_err(text);
+            assert_eq!(
+                err.to_string(),
+                format!("bad repository at line {line}: {reason}"),
+                "{text:?}"
+            );
+        }
     }
 
     #[test]
@@ -804,20 +959,86 @@ mod tests {
         }
     }
 
+    /// Every malformed model cache fails with its exact 1-based line and
+    /// reason; an empty one loads.
     #[test]
     fn model_cache_rejects_malformed_content() {
-        assert!(model_cache_from_str("").is_err());
-        assert!(model_cache_from_str("not a cache\n").is_err());
-        let no_key = format!("{CACHE_MAGIC}\nmodel\nend\n");
-        assert!(model_cache_from_str(&no_key).is_err());
-        let stray_step = format!("{CACHE_MAGIC}\nstep 0 0 0 1 0 1\n");
-        assert!(model_cache_from_str(&stray_step).is_err());
-        let unterminated = format!("{CACHE_MAGIC}\nmodel\nkey k\n");
-        assert!(model_cache_from_str(&unterminated).is_err());
-        let dup_key = format!("{CACHE_MAGIC}\nmodel\nkey a\nkey b\nend\n");
-        assert!(model_cache_from_str(&dup_key).is_err());
-        let key_after_step = format!("{CACHE_MAGIC}\nmodel\nstep 0 0 0 1 0 1\nkey a\nend\n");
-        assert!(model_cache_from_str(&key_after_step).is_err());
+        let c = CACHE_MAGIC;
+        let cases = [
+            (String::new(), 1, "empty file".to_string()),
+            (
+                "not a cache\n".into(),
+                1,
+                format!("expected `{c}`, got `not a cache`"),
+            ),
+            (
+                format!("{c}\nmodel\nend\n"),
+                3,
+                "model without a key".into(),
+            ),
+            (
+                format!("{c}\nmodel\nmodel\n"),
+                3,
+                "model inside an unterminated model".into(),
+            ),
+            (format!("{c}\nkey a\n"), 2, "key outside a model".into()),
+            (
+                format!("{c}\nmodel\nkey a\nkey b\nend\n"),
+                4,
+                "duplicate key".into(),
+            ),
+            (
+                format!("{c}\nmodel\nstep 0 0 0 1 0 1\nkey a\nend\n"),
+                4,
+                "key after steps".into(),
+            ),
+            (format!("{c}\nmodel\nkey\nend\n"), 3, "empty key".into()),
+            (
+                format!("{c}\nstep 0 0 0 1 0 1\n"),
+                2,
+                "step outside a model".into(),
+            ),
+            (format!("{c}\ninst nop\n"), 2, "inst outside a model".into()),
+            (format!("{c}\nend\n"), 2, "end outside a model".into()),
+            (
+                format!("{c}\nentry FR-F x\n"),
+                2,
+                "unknown record `entry`".into(),
+            ),
+            (
+                format!("{c}\nmodel\nkey k\ninst nop\nend\n"),
+                4,
+                "inst before any step".into(),
+            ),
+            (
+                format!("{c}\nmodel\nkey k\n"),
+                3,
+                "unterminated model".into(),
+            ),
+            (
+                format!("{c}\nmodel\nkey k\nstep 0 0\nend\n"),
+                4,
+                "step needs 6 fields".into(),
+            ),
+            (
+                format!("{c}\nmodel\nkey k\nstep 0 0 0 1 0 nine\nend\n"),
+                4,
+                "bad occupancy: invalid float literal".into(),
+            ),
+            (
+                format!("{c}\nmodel\nkey k\nstep 0 0 0 1 0 1\ninst frob\nend\n"),
+                5,
+                "invalid normalized instruction `frob`".into(),
+            ),
+        ];
+        for (text, line, reason) in &cases {
+            let err = model_cache_from_str(text).expect_err(text);
+            assert_eq!(
+                err.to_string(),
+                format!("bad repository at line {line}: {reason}"),
+                "{text:?}"
+            );
+        }
         let empty = model_cache_from_str(CACHE_MAGIC).expect("empty cache ok");
         assert!(empty.is_empty());
     }
@@ -878,6 +1099,13 @@ mod tests {
         // Truncated file: entry never terminated.
         let truncated = format!("{MAGIC}\nentry FR-F x\nstep 0 0 0 1 0 1\n");
         assert_file_error("repo-truncated", &truncated, 3, "unterminated entry", load);
+        // Each occupancy in range, but AO + IO above 1: a cache state
+        // that cannot exist, refused rather than panicking the loader.
+        let oversum = format!(
+            "{MAGIC}\nentry FR-F x\nstep 0 0 0 1 0 1\n\
+             step 400000 1 0.600000 0.600000 0.000000 1.000000\nend\n"
+        );
+        assert_file_error("repo-oversum", &oversum, 4, "AO + IO above 1", load);
     }
 
     #[test]
@@ -896,6 +1124,11 @@ mod tests {
         assert_file_error("cache-bad-num", &bad_occ, 4, "bad occupancy", load);
         let truncated = format!("{CACHE_MAGIC}\nmodel\nkey k\n");
         assert_file_error("cache-truncated", &truncated, 3, "unterminated model", load);
+        let oversum = format!(
+            "{CACHE_MAGIC}\nmodel\nkey k\n\
+             step 400000 1 0.000000 1.000000 0.600000 0.600000\nend\n"
+        );
+        assert_file_error("cache-oversum", &oversum, 4, "AO + IO above 1", load);
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! verbatim to the micro-ISA.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use crate::inst::Inst;
 
@@ -41,7 +42,7 @@ impl fmt::Display for NormOperand {
 /// Two normalized instructions compare equal exactly when the original
 /// instructions have the same mnemonic and operand *classes*; concrete
 /// registers, immediates, addresses, and branch targets are erased.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct NormInst {
     /// The instruction mnemonic (`"mov"`, `"ld"`, `"beq"`, ...).
     pub mnemonic: &'static str,
@@ -71,6 +72,45 @@ impl NormInst {
         NormInst {
             mnemonic,
             operands: [Some(a), Some(b)],
+        }
+    }
+
+    /// The mnemonic's bytes (low 56 bits) and both operand classes (two
+    /// bits each above them) packed into one word, or `None` for a
+    /// mnemonic longer than 7 bytes. A function of exactly the fields
+    /// `Eq` compares, so equal instructions pack equally.
+    fn packed(&self) -> Option<u64> {
+        let bytes = self.mnemonic.as_bytes();
+        if bytes.len() > 7 {
+            return None;
+        }
+        let mut word = [0u8; 8];
+        word[..bytes.len()].copy_from_slice(bytes);
+        let class = |o: Option<NormOperand>| match o {
+            None => 0u64,
+            Some(NormOperand::Reg) => 1,
+            Some(NormOperand::Imm) => 2,
+            Some(NormOperand::Mem) => 3,
+        };
+        Some(
+            u64::from_le_bytes(word)
+                | class(self.operands[0]) << 56
+                | class(self.operands[1]) << 58,
+        )
+    }
+}
+
+/// One hasher write per instruction: interning instruction sequences
+/// hashes every instruction of a repository, and the derived hash made
+/// about six writes each. Consistent with the derived `Eq`.
+impl Hash for NormInst {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        match self.packed() {
+            Some(word) => state.write_u64(word),
+            None => {
+                self.mnemonic.hash(state);
+                self.operands.hash(state);
+            }
         }
     }
 }
@@ -320,6 +360,54 @@ mod tests {
         }
         assert!("bogus reg".parse::<NormInst>().is_err());
         assert!("mov reg, imm, mem".parse::<NormInst>().is_err());
+    }
+
+    #[test]
+    fn hash_agrees_with_eq() {
+        use std::collections::hash_map::DefaultHasher;
+        let hash = |n: &NormInst| {
+            let mut state = DefaultHasher::new();
+            n.hash(&mut state);
+            state.finish()
+        };
+        // The same text at another address: `Eq` compares contents.
+        let elsewhere = |m: &str| -> &'static str { Box::leak(m.to_string().into_boxed_str()) };
+        let classes = [
+            None,
+            Some(NormOperand::Reg),
+            Some(NormOperand::Imm),
+            Some(NormOperand::Mem),
+        ];
+        // Every known mnemonic (up to 7 bytes, packed into the word) and
+        // one longer than 7 bytes (hashed as a string).
+        let mut all = Vec::new();
+        for &m in MNEMONICS
+            .iter()
+            .chain(&COND_MNEMONICS)
+            .chain(&["prefetchnta"])
+        {
+            for a in classes {
+                for b in classes {
+                    let inst = NormInst {
+                        mnemonic: m,
+                        operands: [a, b],
+                    };
+                    let copy = NormInst {
+                        mnemonic: elsewhere(m),
+                        operands: [a, b],
+                    };
+                    assert_eq!(inst, copy);
+                    assert_eq!(hash(&inst), hash(&copy), "{inst:?}");
+                    all.push(inst);
+                }
+            }
+        }
+        for (i, x) in all.iter().enumerate() {
+            for y in &all[i + 1..] {
+                assert_ne!(x, y);
+                assert_ne!(hash(x), hash(y), "{x:?} vs {y:?}");
+            }
+        }
     }
 
     #[test]

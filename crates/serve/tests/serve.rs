@@ -16,7 +16,7 @@ use sca_attacks::{AttackFamily, Sample};
 use sca_serve::protocol::{
     self, error_kind, is_ok, Request, KIND_BAD_REQUEST, KIND_DEADLINE_EXCEEDED, KIND_OVERLOADED,
 };
-use sca_serve::{spawn, Client, ServeConfig};
+use sca_serve::{spawn, Client, ClientConfig, ServeConfig};
 use sca_telemetry::Json;
 use scaguard::{
     detection_json, load_repository, save_repository, Detector, ModelBuilder, ModelRepository,
@@ -338,6 +338,52 @@ fn reload_failure_keeps_current_repository_live() {
     );
 
     // Still generation 1, still serving.
+    let resp = client
+        .send(&classify_request("target", 0, None))
+        .expect("reply");
+    assert!(is_ok(&resp));
+    assert_eq!(generation(&resp), 1);
+
+    handle.shutdown();
+    handle.join();
+}
+
+#[test]
+fn reload_of_an_impossible_cache_state_fails_cleanly_and_the_connection_answers() {
+    let fx = fixture();
+    let handle = spawn(ServeConfig::new(&fx.repo_all)).expect("spawn server");
+    // A bounded wait: a reload that never answers fails the test instead
+    // of hanging it.
+    let config = ClientConfig {
+        io_timeout: Some(Duration::from_secs(10)),
+        ..ClientConfig::default()
+    };
+    let mut client = Client::connect_with(handle.addr(), config).expect("connect");
+
+    // Both occupancies in [0, 1], but AO + IO = 1.2 on line 3.
+    let bad = fx.dir.join("oversum.repo");
+    std::fs::write(
+        &bad,
+        "scaguard-repo v1\nentry FR-F x\n\
+         step 400000 1 0.600000 0.600000 0.000000 1.000000\nend\n",
+    )
+    .expect("write repo");
+    let resp = client
+        .reload_repo(Some(bad.to_str().unwrap()))
+        .expect("the reload is answered");
+    assert_eq!(error_kind(&resp), Some("reload_failed"), "{resp}");
+    let message = resp
+        .get("error")
+        .and_then(|e| e.get("message"))
+        .and_then(Json::as_str)
+        .unwrap();
+    assert!(
+        message.contains("oversum.repo:3:") && message.contains("AO + IO above 1"),
+        "error names the file, line and reason: {message}"
+    );
+
+    // The same connection is live again, on the same repository.
+    assert!(is_ok(&client.ping().expect("ping answered")));
     let resp = client
         .send(&classify_request("target", 0, None))
         .expect("reply");

@@ -17,7 +17,9 @@
 # serve --metrics, submit --timings, stats --addr), or a repository-index
 # regression (the index smoke bulk-enrolls a variant repository and
 # asserts indexed detections byte-identical to the linear scan, with and
-# without the persisted sidecar).
+# without the persisted sidecar), or a benchmark correctness regression
+# (the scabench smoke checks wire detections against `classify --json`
+# on all five workloads, plus the watch alarm steps).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -33,6 +35,12 @@ cargo test --workspace -q --offline
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --offline -- -D warnings
+
+echo "==> scabench smoke"
+# The benchmark at tiny counts with its correctness gate: on every
+# workload the wire answers must equal `scaguard classify --json`, and
+# re-run watch streams must alarm at the same steps.
+bash crates/bench/src/bin/scabench/run.sh --smoke --out target/scabench/smoke > /dev/null
 
 echo "==> similarity bench smoke"
 cargo run -p sca-bench --release --offline -- --smoke

@@ -64,8 +64,8 @@ fn usage() -> &'static str {
       --json emits the full detection (verdict, family, per-PoC scores,
       threshold) as a single JSON object on stdout; pruned comparisons
       report a `<=` upper bound (\"exact\": false in JSON); --timings
-      prints a model/scan/render stage breakdown on stderr (stdout is
-      unchanged)
+      prints an open/model/scan/render stage breakdown on stderr (open:
+      loading the repository and its index; stdout is unchanged)
   scaguard model <program.sasm> [--victim ...] [--model-cache <path>]
           [--telemetry <out.jsonl>]
       print the program's CST-BBS attack behavior model
@@ -520,14 +520,15 @@ fn cmd_classify(path: &str, opts: &Options, builder: &ModelBuilder) -> Result<()
         .repo
         .as_deref()
         .ok_or("classify needs --repo (create one with `scaguard build-repo`)")?;
+    let mut stages: Vec<(&str, Duration)> = Vec::new();
+    let t = Instant::now();
     let repo = load_repository(repo_path)?;
     let mut detector = Detector::new(repo, opts.threshold)?;
     if !opts.no_index {
         attach_index(&mut detector, repo_path);
     }
+    stages.push(("open", t.elapsed()));
     let program = load_program(path)?;
-    let total_start = Instant::now();
-    let mut stages: Vec<(&str, Duration)> = Vec::new();
     // With --timings the model build and the scan are timed separately;
     // the detection is identical either way (`classify_with_builder` is
     // exactly this build + scan pair).
@@ -565,11 +566,8 @@ fn cmd_classify(path: &str, opts: &Options, builder: &ModelBuilder) -> Result<()
             .iter()
             .map(|(name, d)| format!("{name}={:.3}ms", ms(*d)))
             .collect();
-        eprintln!(
-            "timings: {} total={:.3}ms",
-            parts.join(" "),
-            ms(total_start.elapsed())
-        );
+        let total: Duration = stages.iter().map(|(_, d)| *d).sum();
+        eprintln!("timings: {} total={:.3}ms", parts.join(" "), ms(total));
     }
     Ok(())
 }

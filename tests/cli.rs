@@ -291,6 +291,90 @@ fn classify_without_repo_is_a_clear_error() {
 }
 
 #[test]
+fn classify_timings_include_the_open_and_leave_stdout_unchanged() {
+    let dir = tmp_dir("timings");
+    let repo = dir.join("pocs.repo").to_string_lossy().into_owned();
+    assert!(scaguard(&["build-repo", &repo]).status.success());
+    let fr = poc::flush_reload_mastik(&PocParams::default());
+    let fr_path = write_sasm(&dir, "fr-mastik", &fr.program);
+    let args = [
+        "classify", &fr_path, "--repo", &repo, "--victim", "shared:3", "--json",
+    ];
+    let plain = scaguard(&args);
+    let timed = scaguard(&[&args[..], &["--timings"]].concat());
+    assert!(plain.status.success() && timed.status.success());
+    assert_eq!(plain.stdout, timed.stdout, "--timings leaves stdout alone");
+
+    // `timings: open=<ms>ms model=<ms>ms scan=<ms>ms render=<ms>ms total=<ms>ms`
+    let stderr = String::from_utf8_lossy(&timed.stderr);
+    let line = stderr
+        .lines()
+        .find_map(|l| l.strip_prefix("timings: "))
+        .unwrap_or_else(|| panic!("no timings line: {stderr}"));
+    let pairs: Vec<(&str, f64)> = line
+        .split_whitespace()
+        .map(|part| {
+            let (name, value) = part.split_once('=').expect("stage=value");
+            let ms = value.strip_suffix("ms").expect("ms unit");
+            (name, ms.parse().expect("a number"))
+        })
+        .collect();
+    let names: Vec<&str> = pairs.iter().map(|(name, _)| *name).collect();
+    assert_eq!(
+        names,
+        ["open", "model", "scan", "render", "total"],
+        "{line}"
+    );
+    assert!(pairs[0].1 > 0.0, "the open is timed: {line}");
+    let (stages, total) = (&pairs[..4], pairs[4].1);
+    let sum: f64 = stages.iter().map(|(_, ms)| ms).sum();
+    // Each printed value is rounded to 0.001 ms.
+    assert!(
+        (sum - total).abs() <= 0.003,
+        "total is the sum of the stages: {line}"
+    );
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_whitespace_edited_repository_is_reindexed_with_identical_detections() {
+    let dir = tmp_dir("whitespace");
+    let repo = dir.join("pocs.repo").to_string_lossy().into_owned();
+    assert!(scaguard(&["build-repo", &repo, "--variants", "2"])
+        .status
+        .success());
+    let fr = poc::flush_reload_mastik(&PocParams::default());
+    let fr_path = write_sasm(&dir, "fr-mastik", &fr.program);
+    let args = [
+        "classify", &fr_path, "--repo", &repo, "--victim", "shared:3", "--json",
+    ];
+    let before = scaguard(&args);
+    assert!(before.status.success());
+    let stderr = String::from_utf8_lossy(&before.stderr);
+    assert!(
+        !stderr.contains("index:"),
+        "the sidecar build-repo wrote is accepted: {stderr}"
+    );
+
+    // A blank line after the header: the same models, other bytes.
+    let text = fs::read_to_string(&repo).expect("repo text");
+    fs::write(&repo, text.replacen('\n', "\n\n", 1)).expect("edit repo");
+    let after = scaguard(&args);
+    assert!(after.status.success());
+    let stderr = String::from_utf8_lossy(&after.stderr);
+    assert!(
+        stderr.contains("is stale") && stderr.contains("rebuilding in memory"),
+        "the edited file reads as stale: {stderr}"
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&before.stdout),
+        String::from_utf8_lossy(&after.stdout),
+        "the rebuilt index detects identically"
+    );
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn bad_threshold_and_bad_victim_are_rejected() {
     let out = scaguard(&["classify", "x.sasm", "--threshold", "nope"]);
     assert!(!out.status.success());
