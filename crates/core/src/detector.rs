@@ -10,17 +10,18 @@
 //! bitwise identical to the naive full scan; only comparisons that
 //! provably cannot win are cut short.
 //!
-//! A scan runs in two phases (DESIGN.md §15). **Phase 1** finds the best
-//! entry: every entry gets the `O(log)` interval-envelope bound
-//! ([`crate::engine::lb_interval`]) up front, then entries are visited —
-//! in repository order, or cheapest-sort-key-first when a
-//! [`RepoIndex`] is attached — through a cheapest-first cascade
-//! (envelope → length bound → CSP envelope → pivot bound → early-abandoned
-//! DTW) under the best-so-far cutoff; with an index, the scan *stops* at
-//! the first sort key above the cutoff. **Phase 2** renders the per-entry
-//! scores as a pure function of the target, the repository, and the best
-//! distance — never of the visit order — which is what makes indexed,
-//! linear, and parallel scans byte-identical.
+//! A scan finds the best entry and nothing else (DESIGN.md §15).
+//! **Phase 0** gives every entry the `O(log)` interval-envelope bound
+//! ([`crate::engine::lb_interval`]) and, when a [`RepoIndex`] is
+//! attached, a sort key. **Phase 1** visits entries — in repository
+//! order, or cheapest-sort-key-first with an index — through a
+//! cheapest-first cascade (envelope → length bound → CSP envelope → pivot
+//! bound → early-abandoned DTW) under the best-so-far cutoff; with an
+//! index, the scan *stops* at the first sort key above the cutoff. A
+//! [`Detection`] carries the winner (minimum distance, later index on
+//! ties) and its exact score: a function of the target and the repository
+//! alone, never of the visit order, which is what makes indexed, linear,
+//! parallel and sharded scans byte-identical.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -49,8 +50,8 @@ use crate::persist::repository_to_string;
 pub struct RepoEntry {
     /// The attack family this PoC belongs to.
     pub family: AttackFamily,
-    /// The PoC's name (e.g. `"FR-IAIK"`). Shared, so score rendering
-    /// can label thousands of entries per scan without allocating.
+    /// The PoC's name (e.g. `"FR-IAIK"`). Shared, so a detection names
+    /// its winner without allocating.
     pub name: Arc<str>,
     /// Its attack behavior model.
     pub model: CstBbs,
@@ -156,42 +157,41 @@ impl Extend<RepoEntry> for ModelRepository {
     }
 }
 
-/// One repository entry's similarity to a classified target.
+/// One repository entry's exact similarity to a classified target.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EntryScore {
+    /// The entry's index in the repository.
+    pub index: usize,
     /// The PoC's name (shared with the repository entry).
     pub poc: Arc<str>,
     /// The PoC's attack family.
     pub family: AttackFamily,
-    /// The similarity score in `[0, 1]`. Exact when [`exact`] is set;
-    /// otherwise an **upper bound**: the pruned scan proved the true
-    /// score is at most this value without paying for the full
-    /// comparison. An upper bound may exceed the best (exact) score —
-    /// it only promises the true score is no higher, not that the entry
-    /// came close.
-    ///
-    /// [`exact`]: EntryScore::exact
+    /// The similarity score in `[0, 1]`, bitwise what the naive
+    /// [`crate::similarity::similarity_score`] reports.
     pub score: f64,
-    /// Whether [`score`] is the exact similarity (`true`) or the upper
-    /// bound left behind by a pruned comparison (`false`).
-    ///
-    /// [`score`]: EntryScore::score
-    pub exact: bool,
 }
 
-/// The outcome of classifying one target program.
-#[derive(Debug, Clone)]
+impl EntryScore {
+    /// Entry `index` of a repository, scored from its exact DTW distance.
+    pub(crate) fn at(index: usize, entry: &RepoEntry, distance: f64) -> EntryScore {
+        EntryScore {
+            index,
+            poc: entry.name.clone(),
+            family: entry.family,
+            score: score_of(distance),
+        }
+    }
+}
+
+/// The outcome of classifying one target program: the best-matching
+/// entry and the threshold its score is judged against.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Detection {
-    /// Per-entry similarity, in repository entry order. Entries the
-    /// pruned scan skipped carry an upper bound (see [`EntryScore`]);
-    /// the best entry is always exact.
-    pub scores: Vec<EntryScore>,
-    /// Index of the best-scoring entry in [`scores`], if any entry
-    /// exists. Its score is exact and bitwise identical to what a naive
-    /// full scan would report.
-    ///
-    /// [`scores`]: Detection::scores
-    pub best: Option<usize>,
+    /// The best-matching entry — minimum DTW distance, the later
+    /// repository index on ties — or `None` for an empty repository.
+    /// Its score is exact and bitwise identical to what a naive full scan
+    /// would report.
+    pub best: Option<EntryScore>,
     /// The detection threshold used.
     pub threshold: f64,
 }
@@ -199,7 +199,7 @@ pub struct Detection {
 impl Detection {
     /// The best-scoring repository entry, if any.
     pub fn best_entry(&self) -> Option<&EntryScore> {
-        self.best.map(|i| &self.scores[i])
+        self.best.as_ref()
     }
 
     /// Whether the target is classified as an attack (best score clears
@@ -232,22 +232,10 @@ impl fmt::Display for Detection {
     }
 }
 
-/// The full detection as one JSON object — the canonical machine-facing
+/// The detection as one JSON object — the canonical machine-facing
 /// rendering shared by `scaguard classify --json` and the `sca-serve`
 /// wire protocol, so the two are byte-identical for the same detection.
 pub fn detection_json(program: &str, detection: &Detection) -> Json {
-    let scores = detection
-        .scores
-        .iter()
-        .map(|entry| {
-            Json::Obj(vec![
-                ("poc".into(), Json::Str(entry.poc.to_string())),
-                ("family".into(), Json::Str(entry.family.to_string())),
-                ("score".into(), Json::Num(entry.score)),
-                ("exact".into(), Json::Bool(entry.exact)),
-            ])
-        })
-        .collect();
     Json::Obj(vec![
         ("program".into(), Json::Str(program.to_string())),
         ("attack".into(), Json::Bool(detection.is_attack())),
@@ -267,7 +255,6 @@ pub fn detection_json(program: &str, detection: &Detection) -> Json {
         ),
         ("best_score".into(), Json::Num(detection.best_score())),
         ("threshold".into(), Json::Num(detection.threshold)),
-        ("scores".into(), Json::Arr(scores)),
     ])
 }
 
@@ -295,12 +282,6 @@ impl ScanState {
 /// from the repository, bounding memory on long-lived detectors that
 /// classify an unbounded stream of targets.
 const POOL_LIMIT: usize = 1 << 16;
-
-/// The result of scanning one target against the prepared repository.
-struct ScanResult {
-    scores: Vec<EntryScore>,
-    best: Option<usize>,
-}
 
 /// A parallel-scan result slot: the entry's exact distance, when its
 /// comparison ran to completion.
@@ -433,23 +414,25 @@ impl Detector {
         self.scan.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Classify a prebuilt target model with the pruned repo scan.
-    ///
-    /// The best entry, score, and verdict are bitwise identical to a
-    /// naive full scan; non-best entries may carry upper bounds (see
-    /// [`EntryScore::exact`]). Use [`Detector::classify_model_full`]
-    /// when every per-entry score must be exact.
-    pub fn classify_model(&self, target: &CstBbs) -> Detection {
-        let mut sp = sca_telemetry::span("detect.scan");
+    /// Run `f` on the locked scan state, then rebuild the state if the
+    /// engine's intern pool outgrew [`POOL_LIMIT`].
+    fn with_scan<T>(&self, f: impl FnOnce(&mut ScanState) -> T) -> T {
         let mut state = self.lock_scan();
-        let result = scan_target(&mut state, &self.repo, self.index.as_ref(), target, None)
-            .expect("no deadline was given");
+        let out = f(&mut state);
         if state.engine.pool_len() > POOL_LIMIT {
             *state = ScanState::build(&self.repo);
         }
-        let detection = self.detection(result);
-        self.annotate(&mut sp, &detection);
-        detection
+        out
+    }
+
+    /// Classify a prebuilt target model with the pruned repo scan.
+    ///
+    /// The best entry, score, and verdict are bitwise identical to a
+    /// naive full scan. Use [`Detector::classify_model_full`] when every
+    /// entry's score is wanted.
+    pub fn classify_model(&self, target: &CstBbs) -> Detection {
+        self.classify_model_until(target, None)
+            .expect("no deadline was given")
     }
 
     /// [`Detector::classify_model`] under a wall-clock deadline,
@@ -468,43 +451,41 @@ impl Detector {
         target: &CstBbs,
         deadline: Instant,
     ) -> Result<Detection, DeadlineExceeded> {
-        let mut sp = sca_telemetry::span("detect.scan");
-        let mut state = self.lock_scan();
-        let result = match scan_target(
-            &mut state,
-            &self.repo,
-            self.index.as_ref(),
-            target,
-            Some(deadline),
-        ) {
-            Ok(r) => r,
-            Err(e) => {
-                sp.attr("deadline_exceeded", true);
-                return Err(e);
-            }
-        };
-        if state.engine.pool_len() > POOL_LIMIT {
-            *state = ScanState::build(&self.repo);
-        }
-        let detection = self.detection(result);
-        self.annotate(&mut sp, &detection);
-        Ok(detection)
+        self.classify_model_until(target, Some(deadline))
     }
 
-    /// Phases 0 and 1 of the pruned scan only: find the exact best entry
-    /// (index and DTW distance) without rendering per-entry scores.
+    fn classify_model_until(
+        &self,
+        target: &CstBbs,
+        deadline: Option<Instant>,
+    ) -> Result<Detection, DeadlineExceeded> {
+        let mut sp = sca_telemetry::span("detect.scan");
+        match self.scan_best(target, deadline) {
+            Ok(best) => {
+                let detection = self.detection(best);
+                self.annotate(&mut sp, &detection);
+                Ok(detection)
+            }
+            Err(e) => {
+                sp.attr("deadline_exceeded", true);
+                Err(e)
+            }
+        }
+    }
+
+    /// The pruned scan's exact best entry: its index and DTW distance,
+    /// or `None` for an empty repository.
     ///
     /// This is the scatter half of a sharded scan (see [`crate::shard`]):
-    /// each shard runs `scan_best` over its slice of the repository, the
-    /// caller merges the per-shard winners with the scan's own tie-break
-    /// rule (minimum distance, **later** index on ties), then renders
-    /// every slice against the merged best with
-    /// [`Detector::render_slice`]. The pair composes to detections
-    /// byte-identical to [`Detector::classify_model`]: a tie candidate's
-    /// DTW always runs to completion (the early-abandon row minimum is a
-    /// lower bound on the final distance, so a distance equal to the
-    /// cutoff can never abandon), so every shard reports its true best as
-    /// an exact distance no matter how the repository was decomposed.
+    /// each shard runs `scan_best` over its slice of the repository, and
+    /// the caller merges the per-shard winners with the scan's own
+    /// tie-break rule (minimum distance, **later** index on ties). The
+    /// merged winner is the one [`Detector::classify_model`] reports: a
+    /// tie candidate's DTW always runs to completion (the early-abandon
+    /// row minimum is a lower bound on the final distance, so a distance
+    /// equal to the cutoff can never abandon), so every shard reports its
+    /// true best as an exact distance no matter how the repository was
+    /// decomposed.
     ///
     /// # Errors
     ///
@@ -517,7 +498,7 @@ impl Detector {
         self.scan_best_seeded(target, None, deadline)
     }
 
-    /// [`Detector::scan_best`] with phase 1's best-so-far cutoff
+    /// [`Detector::scan_best`] with the best-so-far cutoff
     /// pre-seeded: `seed` is an entry index plus that entry's **exact**
     /// DTW distance to `target`, known before the scan starts (a
     /// streaming session carries the previous increment's winner forward
@@ -542,90 +523,33 @@ impl Detector {
         seed: Option<(usize, f64)>,
         deadline: Option<Instant>,
     ) -> Result<Option<(usize, f64)>, DeadlineExceeded> {
-        let mut state = self.lock_scan();
-        let p1 = scan_phase1(
-            &mut state,
-            &self.repo,
-            self.index.as_ref(),
-            target,
-            seed,
-            deadline,
-        )?;
-        flush_scan_counts(&p1.counts);
-        if state.engine.pool_len() > POOL_LIMIT {
-            *state = ScanState::build(&self.repo);
-        }
-        Ok(p1.best)
-    }
-
-    /// Phase 2 of a pruned scan against an externally supplied best
-    /// distance: render this repository's per-entry scores exactly as the
-    /// unsharded scan's phase 2 would, bounding every entry by `best_d`
-    /// and reporting entry `exact_idx` (when given — the shard that owns
-    /// the merged winner) with its exact score. The render is a pure
-    /// function of the target, the repository, and `best_d` — the lower
-    /// bounds it consults are deterministic functions of (target, entry)
-    /// — so slice renders concatenated in repository order are
-    /// byte-identical to the unsharded scan's score list.
-    pub fn render_slice(
-        &self,
-        target: &CstBbs,
-        best_d: f64,
-        exact_idx: Option<usize>,
-    ) -> Vec<EntryScore> {
-        debug_assert!(exact_idx.is_none_or(|i| i < self.repo.len()));
-        let mut state = self.lock_scan();
-        let mut counts = ScanCounts::default();
-        let scores = {
-            let ScanState { engine, prepared } = &mut *state;
-            let prepared_target = engine.prepare(target);
-            let env: Vec<f64> = prepared
-                .iter()
-                .map(|pm| lb_interval(&prepared_target, pm))
-                .collect();
-            counts.lb_evals += prepared.len() as u64;
-            let mut lb1c = vec![f64::NAN; prepared.len()];
-            let mut lb2c = vec![f64::NAN; prepared.len()];
-            render_scores_against(
+        self.with_scan(|state| {
+            scan_target(
+                state,
                 &self.repo,
-                &prepared_target,
-                prepared,
-                &env,
-                &mut lb1c,
-                &mut lb2c,
-                best_d,
-                exact_idx,
-                &mut counts,
+                self.index.as_ref(),
+                target,
+                seed,
+                deadline,
             )
-        };
-        flush_scan_counts(&counts);
-        if state.engine.pool_len() > POOL_LIMIT {
-            *state = ScanState::build(&self.repo);
-        }
-        scores
+        })
     }
 
-    /// Classify a prebuilt target model with an exhaustive scan: every
-    /// entry's score is exact (still served by the interned engine).
-    /// Never consults the index — there is nothing to skip.
-    pub fn classify_model_full(&self, target: &CstBbs) -> Detection {
-        let mut sp = sca_telemetry::span("detect.scan");
-        let mut state = self.lock_scan();
-        let result = scan_full(&mut state, &self.repo, target);
-        if state.engine.pool_len() > POOL_LIMIT {
-            *state = ScanState::build(&self.repo);
-        }
-        let detection = self.detection(result);
-        self.annotate(&mut sp, &detection);
-        detection
+    /// Every entry's exact score against a prebuilt target model, in
+    /// repository order, from an exhaustive scan (still served by the
+    /// interned engine). Never consults the index — there is nothing to
+    /// skip. The reference the pruned scans are tested against.
+    pub fn classify_model_full(&self, target: &CstBbs) -> Vec<EntryScore> {
+        let _sp = sca_telemetry::span("detect.scan");
+        self.with_scan(|state| scan_full(state, &self.repo, target))
     }
 
     /// Classify a prebuilt target model, scanning the repository with
     /// `jobs` worker threads (std-only; `jobs <= 1` degrades to the
     /// serial scan). Workers drain the shared visit order (index-sorted
     /// when an index is attached) and share the best-so-far distance
-    /// through an atomic, so pruning works across threads; scores are
-    /// rendered serially from the merged best distance, so the output is
+    /// through an atomic, so pruning works across threads; the winner is
+    /// merged under the serial scan's tie rule, so the detection is
     /// byte-identical to the serial scan's.
     pub fn classify_model_jobs(&self, target: &CstBbs, jobs: usize) -> Detection {
         let jobs = jobs.clamp(1, self.repo.len().max(1));
@@ -672,7 +596,6 @@ impl Detector {
                                 continue;
                             }
                         }
-                        let (mut lb1, mut lb2) = (f64::NAN, f64::NAN);
                         let distance = probe_entry(
                             &mut state.engine,
                             &p0.target,
@@ -683,8 +606,6 @@ impl Detector {
                             p0.env[i],
                             cutoff,
                             None,
-                            &mut lb1,
-                            &mut lb2,
                             &mut local,
                         )
                         .expect("no deadline was given");
@@ -709,23 +630,8 @@ impl Detector {
             }
         }
         counts.absorb(&slot_lock(&shared_counts));
-        let mut lb1c = vec![f64::NAN; n];
-        let mut lb2c = vec![f64::NAN; n];
-        let scores = render_scores(
-            &self.repo,
-            &p0.target,
-            &seed.prepared,
-            &p0.env,
-            &mut lb1c,
-            &mut lb2c,
-            best,
-            &mut counts,
-        );
         flush_scan_counts(&counts);
-        self.detection(ScanResult {
-            scores,
-            best: best.map(|(i, _)| i),
-        })
+        self.detection(best)
     }
 
     /// Classify a batch of prebuilt target models over a std-only worker
@@ -752,15 +658,16 @@ impl Detector {
                         if i >= targets.len() {
                             break;
                         }
-                        let result = scan_target(
+                        let best = scan_target(
                             &mut state,
                             &self.repo,
                             self.index.as_ref(),
                             &targets[i],
                             None,
+                            None,
                         )
                         .expect("no deadline was given");
-                        *slot_lock(&slots[i]) = Some(self.detection(result));
+                        *slot_lock(&slots[i]) = Some(self.detection(best));
                     }
                 });
             }
@@ -775,10 +682,9 @@ impl Detector {
             .collect()
     }
 
-    fn detection(&self, result: ScanResult) -> Detection {
+    fn detection(&self, best: Option<(usize, f64)>) -> Detection {
         Detection {
-            scores: result.scores,
-            best: result.best,
+            best: best.map(|(i, d)| EntryScore::at(i, &self.repo.entries()[i], d)),
             threshold: self.threshold,
         }
     }
@@ -860,18 +766,6 @@ impl Detector {
                 sp.attr("best_family", format!("{:?}", best.family));
                 sp.attr("best_score", best.score);
             }
-            // Best (possibly bounded) score per family, one attribute each.
-            for family in AttackFamily::ALL {
-                let best = detection
-                    .scores
-                    .iter()
-                    .filter(|e| e.family == family)
-                    .map(|e| e.score)
-                    .fold(f64::NEG_INFINITY, f64::max);
-                if best.is_finite() {
-                    sp.attr(&format!("score.{family:?}"), best);
-                }
-            }
         }
     }
 }
@@ -898,8 +792,8 @@ fn flush_engine_stats(delta: EngineStats) {
 /// cost is the single relaxed atomic load inside `sca_telemetry::enabled`.
 #[derive(Debug, Clone, Copy, Default)]
 struct ScanCounts {
-    /// Lower-bound evaluations across all cascade stages and both phases
-    /// (envelope, length, CSP envelope, pivot bounds).
+    /// Lower-bound evaluations across all cascade stages (envelope,
+    /// length, CSP envelope, pivot bounds).
     lb_evals: u64,
     /// Phase-1 entries rejected without running any DTW — by a cascade
     /// bound or by the index sort-key stop.
@@ -933,8 +827,7 @@ fn flush_scan_counts(counts: &ScanCounts) {
 struct Phase0<'ix> {
     target: PreparedModel,
     query: Option<QueryContext<'ix>>,
-    /// Per-entry interval-envelope bound — index-free, so phase 2 can
-    /// render from it identically with and without an index.
+    /// Per-entry interval-envelope bound, the cascade's first stage.
     env: Vec<f64>,
     /// Per-entry sort keys (`Some` only with an index): `max(env, pivot
     /// interval bound)`. Phase 1 visits entries in ascending `(key,
@@ -991,8 +884,7 @@ fn sorted_order(keys: Option<&[f64]>, n: usize) -> Vec<usize> {
 /// nearest-neighbor bound → early-abandoned DTW), each stage running only
 /// if the previous one failed to disqualify the entry. Returns the exact
 /// distance when the DTW ran to completion, `None` when the entry was
-/// skipped or abandoned. `lb1`/`lb2` cache the heavy bounds (pure
-/// functions of target and entry) for phase 2.
+/// skipped or abandoned.
 ///
 /// # Errors
 ///
@@ -1008,8 +900,6 @@ fn probe_entry(
     env: f64,
     cutoff: f64,
     deadline: Option<Instant>,
-    lb1: &mut f64,
-    lb2: &mut f64,
     counts: &mut ScanCounts,
 ) -> Result<Option<f64>, DeadlineExceeded> {
     let mut sp = sca_telemetry::span("pipeline.compare.dtw");
@@ -1025,19 +915,19 @@ fn probe_entry(
         counts.full_dtw_runs += 1;
         r
     } else {
-        *lb1 = lb_length(target, entry_model);
+        let lb1 = lb_length(target, entry_model);
         counts.lb_evals += 1;
-        if *lb1 > cutoff {
+        if lb1 > cutoff {
             counts.entries_skipped += 1;
             engine.note_lb_skip(target, entry_model);
-            Bounded::AtLeast(*lb1)
+            Bounded::AtLeast(lb1)
         } else {
-            *lb2 = lb_csp_envelope(target, entry_model);
+            let lb2 = lb_csp_envelope(target, entry_model);
             counts.lb_evals += 1;
-            if *lb2 > cutoff {
+            if lb2 > cutoff {
                 counts.entries_skipped += 1;
                 engine.note_lb_skip(target, entry_model);
-                Bounded::AtLeast(lb2.max(*lb1))
+                Bounded::AtLeast(lb2.max(lb1))
             } else {
                 let pivot = query.map_or(0.0, |q| {
                     counts.lb_evals += 1;
@@ -1072,105 +962,14 @@ fn probe_entry(
     Ok(distance)
 }
 
-/// Phase 2: render the per-entry scores from the best distance found in
-/// phase 1 — a pure function of the target, the repository, and that
-/// distance, never of the visit order, so indexed, linear, and parallel
-/// scans produce byte-identical detections. The best entry reports its
-/// exact score; every other entry reports the tightest *deterministic*
-/// lower-bound cascade value as an upper-bound score (no DTW runs here).
-#[allow(clippy::too_many_arguments)]
-fn render_scores(
-    repo: &ModelRepository,
-    target: &PreparedModel,
-    prepared: &[PreparedModel],
-    env: &[f64],
-    lb1c: &mut [f64],
-    lb2c: &mut [f64],
-    best: Option<(usize, f64)>,
-    counts: &mut ScanCounts,
-) -> Vec<EntryScore> {
-    let Some((best_idx, best_d)) = best else {
-        // A nonempty repository always yields a best entry (the first
-        // visited entry's DTW runs under an infinite cutoff).
-        debug_assert!(repo.is_empty());
-        return Vec::new();
-    };
-    render_scores_against(
-        repo,
-        target,
-        prepared,
-        env,
-        lb1c,
-        lb2c,
-        best_d,
-        Some(best_idx),
-        counts,
-    )
-}
-
-/// The body of [`render_scores`], parameterized on an external best
-/// distance: `exact_idx` is the local index of the entry whose exact
-/// distance *is* `best_d`, or `None` when another shard of a decomposed
-/// repository owns the winner and every local entry renders a bound.
-#[allow(clippy::too_many_arguments)]
-fn render_scores_against(
-    repo: &ModelRepository,
-    target: &PreparedModel,
-    prepared: &[PreparedModel],
-    env: &[f64],
-    lb1c: &mut [f64],
-    lb2c: &mut [f64],
-    best_d: f64,
-    exact_idx: Option<usize>,
-    counts: &mut ScanCounts,
-) -> Vec<EntryScore> {
-    repo.entries()
-        .iter()
-        .enumerate()
-        .map(|(i, entry)| {
-            if Some(i) == exact_idx {
-                return EntryScore {
-                    poc: entry.name.clone(),
-                    family: entry.family,
-                    score: score_of(best_d),
-                    exact: true,
-                };
-            }
-            // The same cheapest-first cascade as phase 1, but against the
-            // fixed final distance: deepen the bound only while it has
-            // not yet proven the entry can't beat the best. Cached
-            // phase-1 values are pure functions of (target, entry), so
-            // reusing them cannot depend on the visit order.
-            let mut bound = env[i];
-            if bound <= best_d {
-                if lb1c[i].is_nan() {
-                    lb1c[i] = lb_length(target, &prepared[i]);
-                    counts.lb_evals += 1;
-                }
-                bound = bound.max(lb1c[i]);
-                if bound <= best_d {
-                    if lb2c[i].is_nan() {
-                        lb2c[i] = lb_csp_envelope(target, &prepared[i]);
-                        counts.lb_evals += 1;
-                    }
-                    bound = bound.max(lb2c[i]);
-                }
-            }
-            EntryScore {
-                poc: entry.name.clone(),
-                family: entry.family,
-                score: score_of(bound),
-                exact: false,
-            }
-        })
-        .collect()
-}
-
 /// Scan the target against the repository: phase 0 (envelopes and visit
-/// order), phase 1 (find the best entry under the best-so-far cutoff,
-/// stopping at the first too-expensive sort key when indexed), phase 2
-/// (render scores from the final best distance). The optional wall-clock
-/// deadline is checked before every phase-1 entry and once per DTW row.
+/// order), then phase 1 (find the best entry under the best-so-far
+/// cutoff, stopping at the first too-expensive sort key when indexed).
+/// Returns the winner's index and exact distance — minimum distance,
+/// later index on ties — or `None` for an empty repository. `seed`
+/// pre-sets the cutoff (see [`Detector::scan_best_seeded`]). The optional
+/// wall-clock deadline is checked before every entry and once per DTW
+/// row.
 ///
 /// # Errors
 ///
@@ -1180,54 +979,15 @@ fn scan_target(
     repo: &ModelRepository,
     index: Option<&RepoIndex>,
     target: &CstBbs,
-    deadline: Option<Instant>,
-) -> Result<ScanResult, DeadlineExceeded> {
-    let mut p1 = scan_phase1(state, repo, index, target, None, deadline)?;
-    let scores = render_scores(
-        repo,
-        &p1.p0.target,
-        &state.prepared,
-        &p1.p0.env,
-        &mut p1.lb1c,
-        &mut p1.lb2c,
-        p1.best,
-        &mut p1.counts,
-    );
-    flush_scan_counts(&p1.counts);
-    Ok(ScanResult {
-        scores,
-        best: p1.best.map(|(i, _)| i),
-    })
-}
-
-/// Everything [`scan_target`] does up to (and including) finding the
-/// best entry, bundled so phase 2 can run later — or against a *merged*
-/// best when the repository is decomposed into shards and another
-/// shard's winner beats this one's ([`Detector::scan_best`]).
-struct Phase1<'ix> {
-    p0: Phase0<'ix>,
-    lb1c: Vec<f64>,
-    lb2c: Vec<f64>,
-    best: Option<(usize, f64)>,
-    counts: ScanCounts,
-}
-
-fn scan_phase1<'ix>(
-    state: &mut ScanState,
-    repo: &ModelRepository,
-    index: Option<&'ix RepoIndex>,
-    target: &CstBbs,
     seed: Option<(usize, f64)>,
     deadline: Option<Instant>,
-) -> Result<Phase1<'ix>, DeadlineExceeded> {
+) -> Result<Option<(usize, f64)>, DeadlineExceeded> {
     let ScanState { engine, prepared } = state;
     let mut counts = ScanCounts::default();
     let p0 = phase0(engine, prepared, index, target, &mut counts);
     let n = repo.len();
     debug_assert!(seed.is_none_or(|(i, _)| i < n));
     let mut best: Option<(usize, f64)> = seed;
-    let mut lb1c = vec![f64::NAN; n];
-    let mut lb2c = vec![f64::NAN; n];
     // Lazy visit order: a min-heap over `(key bits, index)` pops entries
     // in exactly the ascending `(key, index)` sequence a full sort would
     // produce (keys are non-negative finite floats, whose bit patterns
@@ -1279,8 +1039,6 @@ fn scan_phase1<'ix>(
             p0.env[i],
             cutoff,
             deadline,
-            &mut lb1c[i],
-            &mut lb2c[i],
             &mut counts,
         )?;
         if let Some(d) = distance {
@@ -1292,56 +1050,41 @@ fn scan_phase1<'ix>(
             }
         }
     }
-    Ok(Phase1 {
-        p0,
-        lb1c,
-        lb2c,
-        best,
-        counts,
-    })
+    flush_scan_counts(&counts);
+    Ok(best)
 }
 
 /// Exhaustive scan: every entry's DTW runs to completion under an
 /// infinite cutoff, so every score is exact. No pruning, no index.
-fn scan_full(state: &mut ScanState, repo: &ModelRepository, target: &CstBbs) -> ScanResult {
+fn scan_full(state: &mut ScanState, repo: &ModelRepository, target: &CstBbs) -> Vec<EntryScore> {
     let ScanState { engine, prepared } = state;
     let prepared_target = engine.prepare(target);
     let mut counts = ScanCounts::default();
-    let mut scores = Vec::with_capacity(repo.len());
-    let mut best: Option<(usize, f64)> = None;
-    for (i, (entry, entry_model)) in repo.entries().iter().zip(prepared.iter()).enumerate() {
-        let (mut lb1, mut lb2) = (f64::NAN, f64::NAN);
-        let distance = probe_entry(
-            engine,
-            &prepared_target,
-            entry_model,
-            entry,
-            None,
-            i,
-            0.0,
-            f64::INFINITY,
-            None,
-            &mut lb1,
-            &mut lb2,
-            &mut counts,
-        )
-        .expect("no deadline was given");
-        let d = distance.expect("an unbounded comparison always completes");
-        if best.is_none_or(|(bi, bd)| d < bd || (d == bd && i > bi)) {
-            best = Some((i, d));
-        }
-        scores.push(EntryScore {
-            poc: entry.name.clone(),
-            family: entry.family,
-            score: score_of(d),
-            exact: true,
-        });
-    }
+    let scores = repo
+        .entries()
+        .iter()
+        .zip(prepared.iter())
+        .enumerate()
+        .map(|(i, (entry, entry_model))| {
+            let distance = probe_entry(
+                engine,
+                &prepared_target,
+                entry_model,
+                entry,
+                None,
+                i,
+                0.0,
+                f64::INFINITY,
+                None,
+                &mut counts,
+            )
+            .expect("no deadline was given");
+            let d = distance.expect("an unbounded comparison always completes");
+            EntryScore::at(i, entry, d)
+        })
+        .collect();
     flush_scan_counts(&counts);
-    ScanResult {
-        scores,
-        best: best.map(|(i, _)| i),
-    }
+    scores
 }
 
 #[cfg(test)]
@@ -1411,7 +1154,7 @@ mod tests {
         let d = Detector::new(repo, 0.1).unwrap();
         let det = d.classify_model(&dummy_model(4, 0));
         assert_eq!(det.family(), Some(AttackFamily::FlushReload));
-        assert_eq!(det.scores.len(), 2);
+        assert_eq!(det.best_entry().map(|e| e.index), Some(1));
         assert_eq!(det.best_entry().map(|e| &*e.poc), Some("fr"));
     }
 
@@ -1427,16 +1170,11 @@ mod tests {
             .fold(f64::NEG_INFINITY, f64::max);
         let det = d.classify_model(&target);
         assert_eq!(det.best_score(), naive_best);
-        assert!(det.best_entry().unwrap().exact);
-        // Pruned entries report upper bounds at or above their true score.
-        for (e, repo_entry) in det.scores.iter().zip(repo.entries()) {
-            let true_score = similarity_score(&target, &repo_entry.model);
-            if e.exact {
-                assert_eq!(e.score, true_score);
-            } else {
-                assert!(e.score >= true_score);
-            }
-        }
+        let best = det.best_entry().unwrap();
+        assert_eq!(
+            best.score,
+            similarity_score(&target, &repo.entries()[best.index].model)
+        );
     }
 
     #[test]
@@ -1478,9 +1216,11 @@ mod tests {
         let repo = repo4();
         let d = Detector::new(repo.clone(), 0.2).unwrap();
         let target = dummy_model(5, 1);
-        let det = d.classify_model_full(&target);
-        for (e, repo_entry) in det.scores.iter().zip(repo.entries()) {
-            assert!(e.exact);
+        let scores = d.classify_model_full(&target);
+        assert_eq!(scores.len(), repo.len());
+        for (i, (e, repo_entry)) in scores.iter().zip(repo.entries()).enumerate() {
+            assert_eq!(e.index, i);
+            assert_eq!(e.poc, repo_entry.name);
             assert_eq!(e.score, similarity_score(&target, &repo_entry.model));
         }
     }
@@ -1493,12 +1233,7 @@ mod tests {
                 let target = dummy_model(n, marker);
                 let serial = d.classify_model(&target);
                 let parallel = d.classify_model_jobs(&target, 3);
-                assert_eq!(serial.best, parallel.best);
-                assert_eq!(serial.best_score(), parallel.best_score());
-                assert_eq!(serial.family(), parallel.family());
-                // Phase 2 renders from the merged best distance alone, so
-                // the full per-entry score list is identical too.
-                assert_eq!(serial.scores, parallel.scores);
+                assert_eq!(serial, parallel);
             }
         }
     }
@@ -1546,13 +1281,7 @@ mod tests {
             .map(|i| dummy_model(i % 5 + 1, i as u64 % 2))
             .collect();
         let serial: Vec<Detection> = targets.iter().map(|t| d.classify_model(t)).collect();
-        let batched = d.classify_batch(&targets, 4);
-        assert_eq!(serial.len(), batched.len());
-        for (s, b) in serial.iter().zip(&batched) {
-            assert_eq!(s.best, b.best);
-            assert_eq!(s.best_score(), b.best_score());
-            assert_eq!(s.family(), b.family());
-        }
+        assert_eq!(serial, d.classify_batch(&targets, 4));
     }
 
     #[test]
@@ -1575,9 +1304,7 @@ mod tests {
         let far = Instant::now() + std::time::Duration::from_secs(3600);
         let serial = d.classify_model(&target);
         let timed = d.classify_model_deadline(&target, far).expect("in time");
-        assert_eq!(serial.best, timed.best);
-        assert_eq!(serial.best_score(), timed.best_score());
-        assert_eq!(serial.scores, timed.scores);
+        assert_eq!(serial, timed);
         // An already-passed deadline aborts before any entry.
         let past = Instant::now() - std::time::Duration::from_millis(1);
         assert_eq!(
@@ -1600,9 +1327,21 @@ mod tests {
         assert_eq!(parsed.get("program").and_then(Json::as_str), Some("target"));
         assert!(parsed.get("attack").is_some());
         assert!(parsed.get("threshold").and_then(Json::as_f64).is_some());
-        match parsed.get("scores") {
-            Some(Json::Arr(scores)) => assert_eq!(scores.len(), det.scores.len()),
-            other => panic!("scores must be an array: {other:?}"),
-        }
+        // Compact: the verdict and the winner, no per-entry list.
+        let Json::Obj(fields) = &parsed else {
+            panic!("a detection is an object: {parsed}")
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "program",
+                "attack",
+                "family",
+                "best_poc",
+                "best_score",
+                "threshold"
+            ]
+        );
     }
 }

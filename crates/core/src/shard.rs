@@ -1,39 +1,39 @@
 //! Sharded repository scans with a deterministic scatter-gather merge.
 //!
 //! A SCAGuard detection is a pure function of (target model, enrolled
-//! repository, threshold), and the repository scan's phase 2 renders
-//! per-entry scores from the best distance alone (DESIGN.md §15) — which
-//! makes the scan embarrassingly shardable. A [`ShardedDetector`] splits
-//! the repository into contiguous index ranges, gives each range its own
-//! [`Detector`] (with its own in-memory [`RepoIndex`] slice), and
-//! classifies by:
+//! repository, threshold): the best entry and its exact score
+//! (DESIGN.md §15) — which makes the scan embarrassingly shardable. A
+//! [`ShardedDetector`] splits the repository into contiguous index
+//! ranges, gives each range its own [`Detector`] (with its own in-memory
+//! [`RepoIndex`] slice), and classifies by:
 //!
-//! 1. **scatter** — every shard runs phase 0+1 over its slice
-//!    ([`Shard::scan_best`]), reporting its exact local winner as a
-//!    *global* `(index, distance)` pair;
+//! 1. **scatter** — every shard scans its slice ([`Shard::scan_best`]),
+//!    reporting its exact local winner as a *global* `(index, distance)`
+//!    pair;
 //! 2. **merge** — [`ShardedDetector::merge`] picks the winner with the
 //!    scan's own tie-break discipline: minimum distance, **later** global
 //!    index on ties — the same rule `scan_target`, the `--jobs` pool, and
 //!    the batch builder use, stated in a form independent of which shard
 //!    answered first;
-//! 3. **gather** — every shard renders its slice against the merged best
-//!    distance ([`Detector::render_slice`]); only the owning shard marks
-//!    the winner exact, and the concatenation in shard order *is*
-//!    repository order.
+//! 3. **lookup** — [`ShardedDetector::detection_from`] names the merged
+//!    winner's entry; nothing is rescanned.
 //!
 //! The composition is byte-identical to the unsharded scan at any shard
 //! count: a tie candidate's DTW always runs to completion (the
 //! early-abandon row minimum is a lower bound on the final distance, so
 //! a distance equal to the cutoff never abandons), hence every shard's
-//! winner is an exact distance no matter how the repository was cut, and
-//! phase 2 consults only deterministic lower bounds of (target, entry).
+//! winner is an exact distance no matter how the repository was cut.
 //! The property test in `crates/core/tests/shard.rs` asserts this across
 //! shard counts, repository sizes, empty shards, and fully-pruned shards.
+//!
+//! [`RepoIndex`]: crate::index::RepoIndex
 
 use std::time::Instant;
 
 use crate::cst::CstBbs;
-use crate::detector::{Detection, Detector, InvalidThreshold, ModelRepository};
+use crate::detector::{
+    Detection, Detector, EntryScore, InvalidThreshold, ModelRepository, RepoEntry,
+};
 use crate::engine::DeadlineExceeded;
 
 /// One contiguous slice of a sharded repository: a detector over the
@@ -218,36 +218,31 @@ impl ShardedDetector {
         best
     }
 
-    /// Gather: render every shard's slice against the merged best and
-    /// concatenate in shard (= repository) order. `merged` is the result
-    /// of [`ShardedDetector::merge`]; `None` means the repository is
-    /// empty and the detection is benign with no scores.
-    pub fn detection_from(&self, target: &CstBbs, merged: Option<(usize, f64)>) -> Detection {
-        let Some((best_idx, best_d)) = merged else {
-            debug_assert!(self.len == 0);
-            return Detection {
-                scores: Vec::new(),
-                best: None,
-                threshold: self.threshold,
-            };
-        };
-        let mut scores = Vec::with_capacity(self.len);
-        for shard in &self.shards {
-            let exact = best_idx
-                .checked_sub(shard.offset)
-                .filter(|&local| local < shard.len());
-            scores.extend(shard.detector.render_slice(target, best_d, exact));
-        }
+    /// The repository entry at a global index.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `global` is not below [`ShardedDetector::len`].
+    pub(crate) fn entry(&self, global: usize) -> &RepoEntry {
+        let shard = &self.shards[self.shards.partition_point(|s| s.offset <= global) - 1];
+        &shard.detector.repository().entries()[global - shard.offset]
+    }
+
+    /// The detection for a merged winner (the result of
+    /// [`ShardedDetector::merge`]): a lookup of the winning entry, no
+    /// scan. `None` means the repository is empty and the detection is
+    /// benign.
+    pub fn detection_from(&self, merged: Option<(usize, f64)>) -> Detection {
+        debug_assert!(merged.is_some() || self.len == 0);
         Detection {
-            scores,
-            best: Some(best_idx),
+            best: merged.map(|(i, d)| EntryScore::at(i, self.entry(i), d)),
             threshold: self.threshold,
         }
     }
 
     /// Classify a prebuilt target model: scatter over every shard (here
     /// serially — a serving layer runs the scatter on its own pools),
-    /// merge, gather. Byte-identical to an unsharded
+    /// merge, look up. Byte-identical to an unsharded
     /// [`Detector::classify_model`] over the same repository.
     pub fn classify_model(&self, target: &CstBbs) -> Detection {
         let per_shard: Vec<Option<(usize, f64)>> = self
@@ -255,7 +250,7 @@ impl ShardedDetector {
             .iter()
             .map(|s| s.scan_best(target, None).expect("no deadline was given"))
             .collect();
-        self.detection_from(target, Self::merge(&per_shard))
+        self.detection_from(Self::merge(&per_shard))
     }
 
     /// Scatter-and-merge only: every shard scans its slice with the
@@ -263,8 +258,7 @@ impl ShardedDetector {
     /// under the scan's own tie rule. Bitwise identical to an unseeded
     /// scatter (see [`Detector::scan_best_seeded`] for why); this is the
     /// per-increment step of a streaming session, which keeps the
-    /// previous increment's winner as the seed and renders full scores
-    /// only when a caller asks.
+    /// previous increment's winner as the seed.
     ///
     /// # Errors
     ///
@@ -297,7 +291,7 @@ impl ShardedDetector {
         for shard in &self.shards {
             per_shard.push(shard.scan_best(target, Some(deadline))?);
         }
-        Ok(self.detection_from(target, Self::merge(&per_shard)))
+        Ok(self.detection_from(Self::merge(&per_shard)))
     }
 }
 
@@ -406,9 +400,7 @@ mod tests {
         let target = dummy_model(4, 0);
         let far = Instant::now() + std::time::Duration::from_secs(3600);
         let timed = sd.classify_model_deadline(&target, far).expect("in time");
-        let plain = sd.classify_model(&target);
-        assert_eq!(plain.best, timed.best);
-        assert_eq!(plain.scores, timed.scores);
+        assert_eq!(sd.classify_model(&target), timed);
         let past = Instant::now() - std::time::Duration::from_millis(1);
         assert_eq!(
             sd.classify_model_deadline(&target, past).err(),

@@ -42,7 +42,7 @@ use sca_cpu::{Execution, Victim};
 use sca_isa::Program;
 
 use crate::cst::CstBbs;
-use crate::detector::{Detection, InvalidThreshold, RepoEntry};
+use crate::detector::{Detection, InvalidThreshold};
 use crate::engine::{DeadlineExceeded, PrefixDtw, SimilarityEngine};
 use crate::modeling::{
     finish_model, graph_from_trace, model_from_blocks_memo, ModelError, ModelingConfig,
@@ -321,7 +321,7 @@ impl<'a> StreamSession<'a> {
         let mut fired = None;
         if self.alarm.is_none() && self.streak >= self.sustain {
             if let Some((i, s)) = score {
-                let entry = self.entry(i);
+                let entry = self.detector.entry(i);
                 let alarm = Alarm {
                     at_step: self.modeler.steps(),
                     at_increment: self.increments,
@@ -338,16 +338,15 @@ impl<'a> StreamSession<'a> {
             committed,
             steps: self.modeler.steps(),
             best: score,
-            best_poc: score.map(|(i, _)| self.entry(i).name.clone()),
-            best_family: score.map(|(i, _)| self.entry(i).family),
+            best_poc: score.map(|(i, _)| self.detector.entry(i).name.clone()),
+            best_family: score.map(|(i, _)| self.detector.entry(i).family),
             fired,
             done: self.modeler.is_done(),
         })
     }
 
-    /// The full detection for the current prefix — phase 2 rendered
-    /// against the seeded scan's winner, byte-identical to classifying
-    /// the prefix's batch model outright.
+    /// The detection for the current prefix — the seeded scan's winner,
+    /// byte-identical to classifying the prefix's batch model outright.
     ///
     /// # Errors
     ///
@@ -355,7 +354,7 @@ impl<'a> StreamSession<'a> {
     pub fn detection(&mut self, deadline: Option<Instant>) -> Result<Detection, DeadlineExceeded> {
         let target = self.modeler.model_cst();
         let best = self.scan(&target, deadline)?;
-        Ok(self.detector.detection_from(&target, best))
+        Ok(self.detector.detection_from(best))
     }
 
     /// Seeded scatter-scan of the current target, updating the tracked
@@ -368,7 +367,7 @@ impl<'a> StreamSession<'a> {
         if self.engine.pool_len() > POOL_LIMIT {
             self.engine = SimilarityEngine::new();
             if let Some((i, _)) = self.tracked {
-                let prepared = self.engine.prepare(&self.entry(i).model);
+                let prepared = self.engine.prepare(&self.detector.entry(i).model);
                 self.tracked = Some((i, PrefixDtw::new(&prepared)));
             }
         }
@@ -383,23 +382,11 @@ impl<'a> StreamSession<'a> {
                 // New winner: start a fresh rolling table. It has not
                 // seen the current prefix yet — the next increment's
                 // seed pays one full recompute, then extends again.
-                let prepared = self.engine.prepare(&self.entry(bi).model);
+                let prepared = self.engine.prepare(&self.detector.entry(bi).model);
                 self.tracked = Some((bi, PrefixDtw::new(&prepared)));
             }
         }
         Ok(best)
-    }
-
-    /// The repository entry at a global index, across shards.
-    fn entry(&self, global: usize) -> &'a RepoEntry {
-        for shard in self.detector.shards() {
-            if let Some(local) = global.checked_sub(shard.offset()) {
-                if local < shard.len() {
-                    return &shard.detector().repository().entries()[local];
-                }
-            }
-        }
-        panic!("entry index {global} out of range");
     }
 
     /// The alarm, if one has fired. Latched: never `Some` then `None`.

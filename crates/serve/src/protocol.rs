@@ -61,8 +61,9 @@ use std::io::{self, BufRead, Write};
 use sca_cpu::Victim;
 use sca_telemetry::Json;
 
-/// Protocol version reported by `ping`.
-pub const PROTOCOL_VERSION: u64 = 1;
+/// Protocol version reported by `ping`. Version 2 dropped the
+/// per-entry `scores` array from detections.
+pub const PROTOCOL_VERSION: u64 = 2;
 
 /// Base address of the shared victim region (matches the CLI).
 pub const SHARED_BASE: u64 = 0x1000_0000;

@@ -1993,9 +1993,9 @@ impl WatchStream {
     }
 
     /// Emit the terminal `done` event — increments, steps, the latched
-    /// alarm if any, and the current prefix's full detection (rendered
-    /// with the same `detection_json` as classify, so the `detection`
-    /// object is byte-identical to classifying the prefix outright).
+    /// alarm if any, and the current prefix's detection (rendered with
+    /// the same `detection_json` as classify, so the `detection` object
+    /// is byte-identical to classifying the prefix outright).
     fn finish(
         &self,
         session: &mut StreamSession<'_>,
@@ -2600,11 +2600,11 @@ fn classify_one(
             "deadline passed during similarity scan".to_string(),
         )
     })?;
-    let mut detection = repo.detector.detection_from(model, merged);
+    let mut detection = repo.detector.detection_from(merged);
     if let Some(t) = threshold {
-        // The threshold gates only the verdict, never the scan: scores
-        // are identical for every threshold, so a per-request override
-        // is exact.
+        // The threshold gates only the verdict, never the scan: the
+        // winner is identical for every threshold, so a per-request
+        // override is exact.
         detection.threshold = t;
     }
     Ok(detection_json(name, &detection))

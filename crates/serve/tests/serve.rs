@@ -19,8 +19,8 @@ use sca_serve::protocol::{
 use sca_serve::{spawn, Client, ClientConfig, ServeConfig};
 use sca_telemetry::Json;
 use scaguard::{
-    detection_json, load_repository, save_repository, Detector, ModelBuilder, ModelRepository,
-    ModelingConfig,
+    detection_json, load_repository, save_repository, Detection, Detector, ModelBuilder,
+    ModelRepository, ModelingConfig,
 };
 
 /// Shared on-disk fixtures: a repository of all four PoC families and a
@@ -77,19 +77,22 @@ fn classify_request(name: &str, sleep_ms: u64, deadline_ms: Option<u64>) -> Requ
     }
 }
 
-/// The set of PoC names a detection response scored against.
-fn score_pocs(frame: &Json) -> BTreeSet<String> {
-    let scores = frame
-        .get("detection")
-        .and_then(|d| d.get("scores"))
-        .expect("detection.scores");
-    match scores {
-        Json::Arr(items) => items
-            .iter()
-            .map(|s| s.get("poc").and_then(Json::as_str).unwrap().to_string())
-            .collect(),
-        _ => panic!("scores is not an array"),
-    }
+/// The `detection` object of a response frame, rendered.
+fn wire_detection(frame: &Json) -> String {
+    frame.get("detection").expect("detection").to_string()
+}
+
+/// The offline detection of the fixture target against the repository
+/// file at `repo`: fresh builder, fresh detector, the same inputs —
+/// exactly what `scaguard classify --json` runs.
+fn offline_detection(repo: &Path) -> Detection {
+    let repo = load_repository(repo).expect("load repo");
+    let detector = Detector::new(repo, Detector::DEFAULT_THRESHOLD).expect("threshold in range");
+    let builder = ModelBuilder::new(&ModelingConfig::default());
+    let program = sca_isa::assemble("target", &fixture().target_src).expect("assemble");
+    let victim = protocol::parse_victim("shared:3").expect("victim");
+    let model = builder.build_cst(&program, &victim).expect("model");
+    detector.classify_model(&model)
 }
 
 fn generation(frame: &Json) -> u64 {
@@ -110,17 +113,14 @@ fn wire_detection_is_byte_identical_to_offline_json() {
         .classify("target", &fx.target_src, "shared:3")
         .expect("classify");
     assert!(is_ok(&resp), "unexpected failure: {resp}");
-    let wire = resp.get("detection").expect("detection field").to_string();
+    let wire = wire_detection(&resp);
+    // Compact: the winner and the verdict, no per-entry list.
+    assert!(
+        resp.get("detection").unwrap().get("scores").is_none(),
+        "a detection carries no scores array: {wire}"
+    );
 
-    // The offline path: fresh builder, fresh detector, same inputs —
-    // exactly what `scaguard classify --json` runs.
-    let repo = load_repository(&fx.repo_all).expect("load repo");
-    let detector = Detector::new(repo, Detector::DEFAULT_THRESHOLD).expect("threshold in range");
-    let builder = ModelBuilder::new(&ModelingConfig::default());
-    let program = sca_isa::assemble("target", &fx.target_src).expect("assemble");
-    let victim = protocol::parse_victim("shared:3").expect("victim");
-    let model = builder.build_cst(&program, &victim).expect("model");
-    let offline = detection_json("target", &detector.classify_model(&model)).to_string();
+    let offline = detection_json("target", &offline_detection(&fx.repo_all)).to_string();
 
     assert_eq!(wire, offline, "wire and offline detections diverge");
     // Sanity: the Flush+Reload variant is detected as an attack.
@@ -251,31 +251,47 @@ fn hot_reload_swaps_repositories_atomically_mid_traffic() {
     let fx = fixture();
     let set_a: Vec<_> = fx.pocs[..2].to_vec();
     let set_b: Vec<_> = fx.pocs[2..].to_vec();
-    let names_a: BTreeSet<String> = set_a.iter().map(|(_, s)| s.name().to_string()).collect();
-    let names_b: BTreeSet<String> = set_b.iter().map(|(_, s)| s.name().to_string()).collect();
     let hot = fx.dir.join("hot.repo");
+    // Each generation's offline detection. The two PoC sets are disjoint,
+    // so the two generations' winners differ.
+    save_pocs(&set_b, &hot);
+    let gen_b = offline_detection(&hot);
     save_pocs(&set_a, &hot);
+    let gen_a = offline_detection(&hot);
+    assert_ne!(
+        gen_a.best_entry().map(|e| &e.poc),
+        gen_b.best_entry().map(|e| &e.poc),
+        "the two generations must detect differently"
+    );
+    let expect = |generation: u64, name: &str| -> String {
+        let offline = match generation {
+            1 => &gen_a,
+            2 => &gen_b,
+            g => panic!("unexpected generation {g}"),
+        };
+        detection_json(name, offline).to_string()
+    };
 
     let handle = spawn(ServeConfig::new(&hot)).expect("spawn server");
     let addr = handle.addr();
 
     // Background traffic classifying as fast as it can while the swap
     // happens. Every response must be computed against exactly one
-    // repository generation: generation 1 scores only set A, generation
-    // 2 scores only set B — never a mixture.
+    // repository generation: each answer equals the offline detection
+    // against the repository of the generation it names — never a
+    // mixture.
     let stop = Arc::new(AtomicBool::new(false));
     let traffic: Vec<_> = (0..2)
         .map(|i| {
             let stop = Arc::clone(&stop);
             thread::spawn(move || {
                 let mut c = Client::connect(addr).expect("connect");
+                let name = format!("traffic-{i}");
                 let mut seen = Vec::new();
                 while !stop.load(Ordering::Relaxed) {
-                    let resp = c
-                        .send(&classify_request(&format!("traffic-{i}"), 0, None))
-                        .expect("reply");
+                    let resp = c.send(&classify_request(&name, 0, None)).expect("reply");
                     assert!(is_ok(&resp), "traffic request failed: {resp}");
-                    seen.push((generation(&resp), score_pocs(&resp)));
+                    seen.push((name.clone(), generation(&resp), wire_detection(&resp)));
                 }
                 seen
             })
@@ -293,12 +309,12 @@ fn hot_reload_swaps_repositories_atomically_mid_traffic() {
 
     let mut saw = BTreeSet::new();
     for t in traffic {
-        for (generation, pocs) in t.join().unwrap() {
-            match generation {
-                1 => assert_eq!(pocs, names_a, "generation 1 answered with wrong entries"),
-                2 => assert_eq!(pocs, names_b, "generation 2 answered with wrong entries"),
-                g => panic!("unexpected generation {g}"),
-            }
+        for (name, generation, detection) in t.join().unwrap() {
+            assert_eq!(
+                detection,
+                expect(generation, &name),
+                "generation {generation} answered from the wrong repository"
+            );
             saw.insert(generation);
         }
     }
@@ -309,7 +325,7 @@ fn hot_reload_swaps_repositories_atomically_mid_traffic() {
         .send(&classify_request("after", 0, None))
         .expect("reply");
     assert_eq!(generation(&after), 2);
-    assert_eq!(score_pocs(&after), names_b);
+    assert_eq!(wire_detection(&after), expect(2, "after"));
     assert_eq!(handle.stats().reloads, 1);
 
     handle.shutdown();

@@ -10,10 +10,13 @@ use std::time::{Duration, Instant};
 
 use sca_attacks::poc::{self, PocParams};
 use sca_attacks::{AttackFamily, Sample};
-use sca_serve::protocol::{error_kind, is_ok, KIND_BAD_REQUEST};
+use sca_serve::protocol::{error_kind, is_ok, parse_victim, KIND_BAD_REQUEST};
 use sca_serve::{spawn, Client, ClientConfig, ServeConfig, ServerHandle, WatchOptions};
 use sca_telemetry::Json;
-use scaguard::{save_repository, ModelRepository, ModelingConfig};
+use scaguard::{
+    build_model, detection_json, load_repository, save_repository, Detector, ModelRepository,
+    ModelingConfig,
+};
 
 /// A repository of all four PoC families, shared by every test in this
 /// binary.
@@ -153,10 +156,23 @@ fn enrolled_attack_alarms_before_its_trace_ends() {
         "early alarm: fired at {at_step} of {steps} instructions"
     );
     assert_eq!(done.get("alarmed"), Some(&Json::Bool(true)));
-    // The terminal detection is the full classify verdict for the
-    // whole trace.
+    // The terminal detection is the classify detection of the whole
+    // trace, byte for byte.
     let detection = done.get("detection").expect("detection in done");
     assert_eq!(detection.get("attack"), Some(&Json::Bool(true)));
+    let detector = Detector::new(
+        load_repository(repo_path()).expect("load repo"),
+        Detector::DEFAULT_THRESHOLD,
+    )
+    .expect("threshold in range");
+    let model = build_model(
+        &fr.program,
+        &parse_victim("shared:3").expect("victim"),
+        &ModelingConfig::default(),
+    )
+    .expect("model");
+    let offline = detection_json("fr-watch", &detector.classify_model(&model.cst_bbs));
+    assert_eq!(detection.to_string(), offline.to_string());
 
     // After `done` the stream is gone: a further push gets a
     // structured routing error, not silence.

@@ -61,16 +61,18 @@ fn usage() -> &'static str {
       forces the plain linear scan; the detection is byte-identical
       either way;
       --jobs scans the repository with n worker threads;
-      --json emits the full detection (verdict, family, per-PoC scores,
-      threshold) as a single JSON object on stdout; pruned comparisons
-      report a `<=` upper bound (\"exact\": false in JSON); --timings
+      prints the best-matching PoC with its exact score, then the
+      verdict; --json emits the detection (verdict, family, best PoC,
+      best score, threshold) as a single JSON object on stdout; --timings
       prints an open/model/scan/render stage breakdown on stderr (open:
       loading the repository and its index; stdout is unchanged)
   scaguard model <program.sasm> [--victim ...] [--model-cache <path>]
           [--telemetry <out.jsonl>]
       print the program's CST-BBS attack behavior model
   scaguard explain <program.sasm> --repo <repo-file> [--victim ...]
-      show the DTW alignment against the best-matching PoC model
+          [--no-index]
+      show the DTW alignment against the best-matching PoC model (the
+      entry `classify` names)
   scaguard serve <repo-file> [--addr <host:port>] [--workers <n>]
           [--shards <n>] [--queue-depth <n>] [--deadline-ms <n>]
           [--threshold <0..1>] [--io-timeout-ms <n>] [--metrics]
@@ -515,18 +517,25 @@ fn attach_index(detector: &mut Detector, repo_path: &str) {
         .expect("a freshly built index matches its repository");
 }
 
-fn cmd_classify(path: &str, opts: &Options, builder: &ModelBuilder) -> Result<(), Box<dyn Error>> {
+/// Open `--repo` for a command that scans it (`classify`, `explain`):
+/// load the repository, prepare the detector, and attach the index
+/// sidecar unless `--no-index`.
+fn open_detector(cmd: &str, opts: &Options) -> Result<Detector, Box<dyn Error>> {
     let repo_path = opts
         .repo
         .as_deref()
-        .ok_or("classify needs --repo (create one with `scaguard build-repo`)")?;
-    let mut stages: Vec<(&str, Duration)> = Vec::new();
-    let t = Instant::now();
-    let repo = load_repository(repo_path)?;
-    let mut detector = Detector::new(repo, opts.threshold)?;
+        .ok_or_else(|| format!("{cmd} needs --repo (create one with `scaguard build-repo`)"))?;
+    let mut detector = Detector::new(load_repository(repo_path)?, opts.threshold)?;
     if !opts.no_index {
         attach_index(&mut detector, repo_path);
     }
+    Ok(detector)
+}
+
+fn cmd_classify(path: &str, opts: &Options, builder: &ModelBuilder) -> Result<(), Box<dyn Error>> {
+    let mut stages: Vec<(&str, Duration)> = Vec::new();
+    let t = Instant::now();
+    let detector = open_detector("classify", opts)?;
     stages.push(("open", t.elapsed()));
     let program = load_program(path)?;
     // With --timings the model build and the scan are timed separately;
@@ -544,20 +553,11 @@ fn cmd_classify(path: &str, opts: &Options, builder: &ModelBuilder) -> Result<()
         detector.classify_with_builder(&program, &opts.victim, builder, opts.jobs)?
     };
     let render_start = Instant::now();
+    let json = detection_json(program.name(), &detection);
     if opts.json {
-        println!("{}", detection_json(program.name(), &detection));
+        println!("{json}");
     } else {
-        for entry in &detection.scores {
-            // Pruned comparisons only have an upper bound on the score.
-            let relation = if entry.exact { "  " } else { "<=" };
-            println!(
-                "  vs {:<22} ({})  {relation} {:.2}%",
-                entry.poc,
-                entry.family,
-                entry.score * 100.0
-            );
-        }
-        println!("{detection}");
+        print_detection(&json)?;
     }
     if opts.timings {
         stages.push(("render", render_start.elapsed()));
@@ -671,7 +671,7 @@ fn cmd_submit(paths: &[String], opts: &Options) -> Result<(), Box<dyn Error>> {
         println!("{detection}");
         return Ok(());
     }
-    print_remote_detection(detection)
+    print_detection(detection)
 }
 
 /// The batched submit path: chunk the programs into `classify-batch`
@@ -751,7 +751,7 @@ fn cmd_submit_batch(paths: &[String], addr: &str, opts: &Options) -> Result<(), 
                 println!("{detection}");
             } else {
                 println!("{}:", program.name);
-                print_remote_detection(detection)?;
+                print_detection(detection)?;
             }
         }
     }
@@ -847,7 +847,7 @@ fn cmd_watch(path: &str, opts: &Options) -> Result<(), Box<dyn Error>> {
                         let steps = event.get("steps").and_then(Json::as_u64).unwrap_or(0);
                         println!("trace complete after {steps} instructions");
                         if let Some(detection) = event.get("detection") {
-                            print_remote_detection(detection)?;
+                            print_detection(detection)?;
                         }
                     }
                     return Ok(());
@@ -884,28 +884,18 @@ fn print_wire_timings(timings: &Json) {
     }
 }
 
-/// Render a wire detection the way offline `classify` renders its own.
-fn print_remote_detection(detection: &Json) -> Result<(), Box<dyn Error>> {
-    let scores = match detection.get("scores") {
-        Some(Json::Arr(scores)) => scores,
-        _ => return Err("malformed response: no scores".into()),
-    };
-    for entry in scores {
-        let get_str = |k: &str| entry.get(k).and_then(Json::as_str).unwrap_or("?");
-        let score = entry.get("score").and_then(Json::as_f64).unwrap_or(0.0);
-        let exact = entry.get("exact") == Some(&Json::Bool(true));
-        let relation = if exact { "  " } else { "<=" };
-        println!(
-            "  vs {:<22} ({})  {relation} {:.2}%",
-            get_str("poc"),
-            get_str("family"),
-            score * 100.0
-        );
-    }
+/// Print a detection object for humans — the one renderer behind
+/// `classify`, `submit` and `watch`, so a wire detection prints exactly
+/// like the offline one: the best-matching PoC with its score, then the
+/// verdict line of [`scaguard::Detection`]'s `Display`.
+fn print_detection(detection: &Json) -> Result<(), Box<dyn Error>> {
     let best = detection
         .get("best_score")
         .and_then(Json::as_f64)
-        .unwrap_or(0.0);
+        .ok_or("malformed detection: no best_score")?;
+    if let Some(poc) = detection.get("best_poc").and_then(Json::as_str) {
+        println!("best match: {poc} ({:.2}%)", best * 100.0);
+    }
     match detection.get("family").and_then(Json::as_str) {
         Some(family) => println!("ATTACK {family} (score {:.2}%)", best * 100.0),
         None => println!("benign (best score {:.2}%)", best * 100.0),
@@ -1099,28 +1089,19 @@ fn cmd_model(path: &str, opts: &Options, builder: &ModelBuilder) -> Result<(), B
 }
 
 fn cmd_explain(path: &str, opts: &Options, builder: &ModelBuilder) -> Result<(), Box<dyn Error>> {
-    let repo_path = opts
-        .repo
-        .as_deref()
-        .ok_or("explain needs --repo (create one with `scaguard build-repo`)")?;
-    let repo = load_repository(repo_path)?;
+    let detector = open_detector("explain", opts)?;
     let program = load_program(path)?;
     let model = builder.build_cst(&program, &opts.victim)?;
-    let best = repo
-        .entries()
-        .iter()
-        .max_by(|a, b| {
-            scaguard::similarity_score(&model, &a.model)
-                .partial_cmp(&scaguard::similarity_score(&model, &b.model))
-                .unwrap_or(std::cmp::Ordering::Equal)
-        })
+    let best = detector
+        .classify_model_jobs(&model, opts.jobs)
+        .best
         .ok_or("the repository is empty")?;
+    let entry = &detector.repository().entries()[best.index];
     println!(
-        "best match: {} ({})
-{}",
-        best.name,
+        "best match: {} ({})\n{}",
+        best.poc,
         best.family,
-        explain_similarity(&model, &best.model)
+        explain_similarity(&model, &entry.model)
     );
     Ok(())
 }

@@ -122,10 +122,21 @@ fn serve_and_submit_round_trip_matches_offline_classify() {
     let remote_json = String::from_utf8_lossy(&remote.stdout).trim().to_string();
     assert_eq!(remote_json, offline_json, "wire and offline output diverge");
 
-    // The human-readable mode prints the verdict too.
+    // The human-readable mode prints exactly what offline `classify`
+    // prints: the best match, then the verdict.
     let remote = scaguard(&["submit", &fr_path, "--addr", &addr, "--victim", "shared:3"]);
-    assert!(remote.status.success());
-    assert!(String::from_utf8_lossy(&remote.stdout).contains("ATTACK"));
+    assert!(
+        remote.status.success(),
+        "human submit failed: {}",
+        String::from_utf8_lossy(&remote.stderr)
+    );
+    let offline = scaguard(&[
+        "classify", &fr_path, "--repo", &repo, "--victim", "shared:3",
+    ]);
+    assert!(offline.status.success());
+    let text = String::from_utf8_lossy(&remote.stdout);
+    assert!(text.contains("ATTACK"), "verdict shown: {text}");
+    assert_eq!(text, String::from_utf8_lossy(&offline.stdout));
 
     // submit against a dead port is a clear error, not a hang.
     let out = scaguard(&["submit", &fr_path]);
@@ -277,6 +288,47 @@ fn build_classify_model_explain_pipeline() {
 }
 
 #[test]
+fn explain_aligns_against_the_winner_classify_names() {
+    let dir = tmp_dir("explain");
+    let repo = dir.join("v2.repo").to_string_lossy().into_owned();
+    assert!(scaguard(&["build-repo", &repo, "--variants", "2"])
+        .status
+        .success());
+    let fr = poc::flush_reload_mastik(&PocParams::default());
+    let ben = benign::generate(Kind::Crypto, 7);
+    for (name, program, victim) in [
+        ("fr-mastik", &fr.program, "shared:3"),
+        ("benign", &ben.program, "none"),
+    ] {
+        let path = write_sasm(&dir, name, program);
+        let out = scaguard(&[
+            "classify", &path, "--repo", &repo, "--victim", victim, "--json",
+        ]);
+        assert!(out.status.success());
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let obj = sca_telemetry::Json::parse(stdout.trim()).expect("valid JSON object");
+        let best_poc = obj
+            .get("best_poc")
+            .and_then(|v| v.as_str())
+            .expect("a best PoC");
+
+        let out = scaguard(&["explain", &path, "--repo", &repo, "--victim", victim]);
+        assert!(
+            out.status.success(),
+            "explain failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = String::from_utf8_lossy(&out.stdout);
+        let first = text.lines().next().unwrap_or_default();
+        assert!(
+            first.starts_with(&format!("best match: {best_poc} (")),
+            "{name}: explain must name classify's winner {best_poc}: {first}"
+        );
+    }
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn classify_without_repo_is_a_clear_error() {
     let dir = tmp_dir("norepo");
     let s = poc::representative(AttackFamily::FlushReload, &PocParams::default());
@@ -392,7 +444,7 @@ fn json_and_telemetry_outputs() {
     let fr_path = write_sasm(&dir, "fr-mastik", &fr.program);
     let jsonl = dir.join("run.jsonl").to_string_lossy().into_owned();
 
-    // --json emits one parseable object with the full detection
+    // --json emits one parseable object with the detection
     let out = scaguard(&[
         "classify",
         &fr_path,
@@ -418,10 +470,11 @@ fn json_and_telemetry_outputs() {
     );
     assert!(obj.get("family").and_then(|v| v.as_str()).is_some());
     assert!(obj.get("best_score").and_then(|v| v.as_f64()).is_some());
-    match obj.get("scores") {
-        Some(sca_telemetry::Json::Arr(scores)) => assert_eq!(scores.len(), 4),
-        other => panic!("scores must be an array: {other:?}"),
-    }
+    assert!(obj.get("best_poc").and_then(|v| v.as_str()).is_some());
+    assert!(
+        obj.get("scores").is_none(),
+        "a detection carries no per-entry scores: {stdout}"
+    );
 
     // --telemetry wrote valid JSONL with a root detect span and all six
     // pipeline stages under it
