@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use sca_attacks::{Label, Sample};
-use scaguard::{Detector, ModelBuilder, ModelRepository, ModelingConfig};
+use scaguard::{Detector, ModelBuilder, ModelRepository, ModelingConfig, ScanRequest};
 
 use crate::detector::{AttackDetector, DetectError};
 
@@ -90,8 +90,10 @@ impl AttackDetector for ScaGuardDetector {
 
     fn classify(&self, sample: &Sample) -> Result<Label, DetectError> {
         let detector = self.detector.as_ref().ok_or(DetectError::NotTrained)?;
-        let detection =
-            detector.classify_with_builder(&sample.program, &sample.victim, &self.builder, 1)?;
+        let model = self.builder.build_cst(&sample.program, &sample.victim)?;
+        let detection = detector
+            .scan(&model, &ScanRequest::default())
+            .expect("no deadline was given");
         Ok(match detection.family() {
             Some(f) => Label::Attack(f),
             None => Label::Benign,

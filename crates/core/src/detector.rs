@@ -10,6 +10,11 @@
 //! bitwise identical to the naive full scan; only comparisons that
 //! provably cannot win are cut short.
 //!
+//! [`Detector::scan`] is the one scan: a [`ScanRequest`] seeds its cutoff,
+//! bounds it with a deadline, or spreads it over worker threads.
+//! [`Detector::classify`] models a program and scans it, and
+//! [`Detector::classify_model_full`] is the exhaustive reference.
+//!
 //! A scan finds the best entry and nothing else (DESIGN.md §15).
 //! **Phase 0** gives every entry the `O(log)` interval-envelope bound
 //! ([`crate::engine::lb_interval`]) and, when a [`RepoIndex`] is
@@ -21,12 +26,12 @@
 //! [`Detection`] carries the winner (minimum distance, later index on
 //! ties) and its exact score: a function of the target and the repository
 //! alone, never of the visit order, which is what makes indexed, linear,
-//! parallel and sharded scans byte-identical.
+//! seeded and parallel scans byte-identical.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -173,7 +178,7 @@ pub struct EntryScore {
 
 impl EntryScore {
     /// Entry `index` of a repository, scored from its exact DTW distance.
-    pub(crate) fn at(index: usize, entry: &RepoEntry, distance: f64) -> EntryScore {
+    fn at(index: usize, entry: &RepoEntry, distance: f64) -> EntryScore {
         EntryScore {
             index,
             poc: entry.name.clone(),
@@ -221,6 +226,23 @@ impl Detection {
     pub fn best_score(&self) -> f64 {
         self.best_entry().map_or(0.0, |e| e.score)
     }
+
+    /// Attach the verdict attributes (`verdict`, and the winner's
+    /// `best_poc`, `best_family` and `best_score`) to a `detect` or
+    /// `detect.scan` span.
+    pub fn annotate(&self, sp: &mut sca_telemetry::SpanGuard) {
+        if sp.is_recording() {
+            sp.attr(
+                "verdict",
+                if self.is_attack() { "attack" } else { "benign" },
+            );
+            if let Some(best) = self.best_entry() {
+                sp.attr("best_poc", &*best.poc);
+                sp.attr("best_family", format!("{:?}", best.family));
+                sp.attr("best_score", best.score);
+            }
+        }
+    }
 }
 
 impl fmt::Display for Detection {
@@ -230,6 +252,36 @@ impl fmt::Display for Detection {
             None => write!(f, "benign (best score {:.2}%)", self.best_score() * 100.0),
         }
     }
+}
+
+/// How one [`Detector::scan`] runs. No field changes the detection a
+/// scan returns, only the work it does or whether it finishes.
+/// [`ScanRequest::default`] is unseeded, without a deadline, and serial.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ScanRequest {
+    /// An entry index plus that entry's **exact** DTW distance to the
+    /// target, known before the scan starts (a streaming session carries
+    /// the previous increment's winner forward via
+    /// [`crate::engine::PrefixDtw`]). It pre-sets the best-so-far cutoff.
+    ///
+    /// Every prune requires a lower bound strictly above the cutoff, and
+    /// the cutoff never drops below the true best distance `d*` (the seed
+    /// is an exact distance of one entry, so `seed.1 >= d*`). Hence every
+    /// entry with distance `<= d*` still completes its DTW (a distance
+    /// equal to the cutoff never abandons: the row minimum is a lower
+    /// bound on the final distance), and the tie rule (minimum distance,
+    /// later index) resolves over the same completed set. Seeding only
+    /// skips comparisons that provably cannot win.
+    pub seed: Option<(usize, f64)>,
+    /// A wall-clock deadline, checked before every repository entry and
+    /// once per DTW row, so a scan that runs out of time aborts within
+    /// microseconds instead of finishing an arbitrarily large repository.
+    pub deadline: Option<Instant>,
+    /// Worker threads (std-only); 0 and 1 mean serial. Workers drain the
+    /// shared visit order and share the best-so-far distance through an
+    /// atomic, so pruning works across threads; the winner is merged under
+    /// the serial scan's tie rule.
+    pub jobs: usize,
 }
 
 /// The detection as one JSON object — the canonical machine-facing
@@ -425,45 +477,25 @@ impl Detector {
         out
     }
 
-    /// Classify a prebuilt target model with the pruned repo scan.
-    ///
-    /// The best entry, score, and verdict are bitwise identical to a
-    /// naive full scan. Use [`Detector::classify_model_full`] when every
-    /// entry's score is wanted.
-    pub fn classify_model(&self, target: &CstBbs) -> Detection {
-        self.classify_model_until(target, None)
-            .expect("no deadline was given")
-    }
-
-    /// [`Detector::classify_model`] under a wall-clock deadline,
-    /// propagated into the engine's bounded-DTW hook: the scan checks the
-    /// deadline before each repository entry and once per DTW row, so a
-    /// request that runs out of time aborts within microseconds instead
-    /// of finishing an arbitrarily large scan. A detection that *does*
-    /// come back is bitwise identical to [`Detector::classify_model`] —
-    /// the deadline only ever aborts, it never alters cutoffs or scores.
+    /// Scan the repository for `target`'s best entry — the one scan
+    /// behind every classification path. The detection (winner and exact
+    /// score) is bitwise identical to a naive full scan whatever `req`
+    /// says: a seed, a deadline and worker threads change only how much
+    /// work the scan does, or whether it finishes. Use
+    /// [`Detector::classify_model_full`] when every entry's score is
+    /// wanted.
     ///
     /// # Errors
     ///
-    /// Returns [`DeadlineExceeded`] when `deadline` passes mid-scan.
-    pub fn classify_model_deadline(
-        &self,
-        target: &CstBbs,
-        deadline: Instant,
-    ) -> Result<Detection, DeadlineExceeded> {
-        self.classify_model_until(target, Some(deadline))
-    }
-
-    fn classify_model_until(
-        &self,
-        target: &CstBbs,
-        deadline: Option<Instant>,
-    ) -> Result<Detection, DeadlineExceeded> {
+    /// Returns [`DeadlineExceeded`] when `req.deadline` passes mid-scan.
+    pub fn scan(&self, target: &CstBbs, req: &ScanRequest) -> Result<Detection, DeadlineExceeded> {
         let mut sp = sca_telemetry::span("detect.scan");
-        match self.scan_best(target, deadline) {
+        let best = self
+            .with_scan(|state| scan_target(state, &self.repo, self.index.as_ref(), target, req));
+        match best {
             Ok(best) => {
                 let detection = self.detection(best);
-                self.annotate(&mut sp, &detection);
+                detection.annotate(&mut sp);
                 Ok(detection)
             }
             Err(e) => {
@@ -471,68 +503,6 @@ impl Detector {
                 Err(e)
             }
         }
-    }
-
-    /// The pruned scan's exact best entry: its index and DTW distance,
-    /// or `None` for an empty repository.
-    ///
-    /// This is the scatter half of a sharded scan (see [`crate::shard`]):
-    /// each shard runs `scan_best` over its slice of the repository, and
-    /// the caller merges the per-shard winners with the scan's own
-    /// tie-break rule (minimum distance, **later** index on ties). The
-    /// merged winner is the one [`Detector::classify_model`] reports: a
-    /// tie candidate's DTW always runs to completion (the early-abandon
-    /// row minimum is a lower bound on the final distance, so a distance
-    /// equal to the cutoff can never abandon), so every shard reports its
-    /// true best as an exact distance no matter how the repository was
-    /// decomposed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeadlineExceeded`] when `deadline` passes mid-scan.
-    pub fn scan_best(
-        &self,
-        target: &CstBbs,
-        deadline: Option<Instant>,
-    ) -> Result<Option<(usize, f64)>, DeadlineExceeded> {
-        self.scan_best_seeded(target, None, deadline)
-    }
-
-    /// [`Detector::scan_best`] with the best-so-far cutoff
-    /// pre-seeded: `seed` is an entry index plus that entry's **exact**
-    /// DTW distance to `target`, known before the scan starts (a
-    /// streaming session carries the previous increment's winner forward
-    /// via [`crate::engine::PrefixDtw`]).
-    ///
-    /// The result is bitwise identical to the unseeded scan. Every prune
-    /// requires a lower bound strictly above the cutoff, and the cutoff
-    /// never drops below the true best distance `d*` (the seed is an
-    /// exact distance of one entry, so `seed.1 >= d*`); hence every entry
-    /// with distance `<= d*` still completes its DTW (a distance equal to
-    /// the cutoff never abandons — the row minimum is a lower bound on
-    /// the final distance), and the tie rule (minimum distance, later
-    /// index) resolves over the same completed set. Seeding only skips
-    /// comparisons that provably cannot win.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeadlineExceeded`] when `deadline` passes mid-scan.
-    pub fn scan_best_seeded(
-        &self,
-        target: &CstBbs,
-        seed: Option<(usize, f64)>,
-        deadline: Option<Instant>,
-    ) -> Result<Option<(usize, f64)>, DeadlineExceeded> {
-        self.with_scan(|state| {
-            scan_target(
-                state,
-                &self.repo,
-                self.index.as_ref(),
-                target,
-                seed,
-                deadline,
-            )
-        })
     }
 
     /// Every entry's exact score against a prebuilt target model, in
@@ -544,106 +514,22 @@ impl Detector {
         self.with_scan(|state| scan_full(state, &self.repo, target))
     }
 
-    /// Classify a prebuilt target model, scanning the repository with
-    /// `jobs` worker threads (std-only; `jobs <= 1` degrades to the
-    /// serial scan). Workers drain the shared visit order (index-sorted
-    /// when an index is attached) and share the best-so-far distance
-    /// through an atomic, so pruning works across threads; the winner is
-    /// merged under the serial scan's tie rule, so the detection is
-    /// byte-identical to the serial scan's.
-    pub fn classify_model_jobs(&self, target: &CstBbs, jobs: usize) -> Detection {
-        let jobs = jobs.clamp(1, self.repo.len().max(1));
-        if jobs <= 1 {
-            return self.classify_model(target);
-        }
-        let mut seed = self.lock_scan().clone();
-        let mut counts = ScanCounts::default();
-        let p0 = {
-            let ScanState { engine, prepared } = &mut seed;
-            phase0(engine, prepared, self.index.as_ref(), target, &mut counts)
-        };
-        let n = self.repo.len();
-        let order = sorted_order(p0.keys.as_deref(), n);
-        let next = AtomicUsize::new(0);
-        // Best distance so far, as bits: for non-negative IEEE floats the
-        // bit pattern orders exactly like the value, so `fetch_min` on
-        // bits is `fetch_min` on distances.
-        let best_bits = AtomicU64::new(f64::INFINITY.to_bits());
-        let slots: Vec<EntrySlot> = (0..n).map(|_| Mutex::new(None)).collect();
-        let shared_counts: Mutex<ScanCounts> = Mutex::new(ScanCounts::default());
-        std::thread::scope(|s| {
-            for _ in 0..jobs {
-                s.spawn(|| {
-                    // The seed's pool already interned the target, so the
-                    // shared prepared target is valid in every clone.
-                    let mut state = seed.clone();
-                    let mut local = ScanCounts::default();
-                    loop {
-                        let pos = next.fetch_add(1, Ordering::Relaxed);
-                        if pos >= n {
-                            break;
-                        }
-                        let i = order[pos];
-                        let cutoff = f64::from_bits(best_bits.load(Ordering::Relaxed));
-                        if let Some(keys) = &p0.keys {
-                            // The shared best only ever decreases, so a key
-                            // above the cutoff now stays above it forever:
-                            // skipping here is admissible even though other
-                            // workers are still lowering the best.
-                            if keys[i] > cutoff {
-                                local.entries_skipped += 1;
-                                state.engine.note_lb_skip(&p0.target, &state.prepared[i]);
-                                continue;
-                            }
-                        }
-                        let distance = probe_entry(
-                            &mut state.engine,
-                            &p0.target,
-                            &state.prepared[i],
-                            &self.repo.entries()[i],
-                            p0.query.as_ref(),
-                            i,
-                            p0.env[i],
-                            cutoff,
-                            None,
-                            &mut local,
-                        )
-                        .expect("no deadline was given");
-                        if let Some(d) = distance {
-                            best_bits.fetch_min(d.to_bits(), Ordering::Relaxed);
-                            *slot_lock(&slots[i]) = Some(d);
-                        }
-                    }
-                    slot_lock(&shared_counts).absorb(&local);
-                });
-            }
-        });
-        // Deterministic merge: minimum distance, later entry on ties —
-        // identical to the serial scan's rule, independent of which
-        // worker got there first.
-        let mut best: Option<(usize, f64)> = None;
-        for (i, slot) in slots.into_iter().enumerate() {
-            if let Some(d) = slot.into_inner().unwrap_or_else(|e| e.into_inner()) {
-                if best.is_none_or(|(bi, bd)| d < bd || (d == bd && i > bi)) {
-                    best = Some((i, d));
-                }
-            }
-        }
-        counts.absorb(&slot_lock(&shared_counts));
-        flush_scan_counts(&counts);
-        self.detection(best)
-    }
-
     /// Classify a batch of prebuilt target models over a std-only worker
-    /// pool (`jobs <= 1` degrades to a serial loop). Each worker owns a
-    /// clone of the prepared scan state, so the `D_IS` cache warms up
-    /// across that worker's share of the batch with no lock contention.
-    /// Results are in `targets` order and identical to serial
-    /// [`Detector::classify_model`] calls.
+    /// pool (`jobs <= 1` degrades to serial [`Detector::scan`] calls). Each
+    /// worker owns a clone of the prepared scan state, so the `D_IS` cache
+    /// warms up across that worker's share of the batch with no lock
+    /// contention. Results are in `targets` order and identical to serial
+    /// [`Detector::scan`] calls.
     pub fn classify_batch(&self, targets: &[CstBbs], jobs: usize) -> Vec<Detection> {
         let jobs = jobs.clamp(1, targets.len().max(1));
         if jobs <= 1 {
-            return targets.iter().map(|t| self.classify_model(t)).collect();
+            return targets
+                .iter()
+                .map(|t| {
+                    self.scan(t, &ScanRequest::default())
+                        .expect("no deadline was given")
+                })
+                .collect();
         }
         let seed = self.lock_scan().clone();
         let next = AtomicUsize::new(0);
@@ -663,8 +549,7 @@ impl Detector {
                             &self.repo,
                             self.index.as_ref(),
                             &targets[i],
-                            None,
-                            None,
+                            &ScanRequest::default(),
                         )
                         .expect("no deadline was given");
                         *slot_lock(&slots[i]) = Some(self.detection(best));
@@ -689,7 +574,8 @@ impl Detector {
         }
     }
 
-    /// Model `program` and classify it.
+    /// Model `program` and classify it: [`build_model`], then
+    /// [`Detector::scan`], inside one root `detect` span.
     ///
     /// # Errors
     ///
@@ -700,73 +586,15 @@ impl Detector {
         victim: &Victim,
         config: &ModelingConfig,
     ) -> Result<Detection, ModelError> {
-        self.classify_jobs(program, victim, config, 1)
-    }
-
-    /// Model `program` and classify it, scanning the repository with
-    /// `jobs` worker threads.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ModelError`] from the modeling pipeline.
-    pub fn classify_jobs(
-        &self,
-        program: &Program,
-        victim: &Victim,
-        config: &ModelingConfig,
-        jobs: usize,
-    ) -> Result<Detection, ModelError> {
         let mut sp = sca_telemetry::span("detect");
         sp.attr("program", program.name());
         sp.attr("threshold", self.threshold);
         let outcome = build_model(program, victim, config)?;
-        let detection = self.classify_model_jobs(&outcome.cst_bbs, jobs);
-        self.annotate(&mut sp, &detection);
+        let detection = self
+            .scan(&outcome.cst_bbs, &ScanRequest::default())
+            .expect("no deadline was given");
+        detection.annotate(&mut sp);
         Ok(detection)
-    }
-
-    /// [`Detector::classify_jobs`] with the target model served by a
-    /// [`ModelBuilder`] — repeated classifications of the same target
-    /// (or a warm disk cache) skip the modeling pass entirely. The
-    /// builder's configuration is used for modeling.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ModelError`] from the modeling pipeline.
-    pub fn classify_with_builder(
-        &self,
-        program: &Program,
-        victim: &Victim,
-        builder: &ModelBuilder,
-        jobs: usize,
-    ) -> Result<Detection, ModelError> {
-        let mut sp = sca_telemetry::span("detect");
-        sp.attr("program", program.name());
-        sp.attr("threshold", self.threshold);
-        let model = builder.build_cst(program, victim)?;
-        let detection = self.classify_model_jobs(&model, jobs);
-        self.annotate(&mut sp, &detection);
-        Ok(detection)
-    }
-
-    /// Attach the standard verdict attributes to a `detect` or
-    /// `detect.scan` span.
-    fn annotate(&self, sp: &mut sca_telemetry::SpanGuard, detection: &Detection) {
-        if sp.is_recording() {
-            sp.attr(
-                "verdict",
-                if detection.is_attack() {
-                    "attack"
-                } else {
-                    "benign"
-                },
-            );
-            if let Some(best) = detection.best_entry() {
-                sp.attr("best_poc", &*best.poc);
-                sp.attr("best_family", format!("{:?}", best.family));
-                sp.attr("best_score", best.score);
-            }
-        }
     }
 }
 
@@ -962,32 +790,64 @@ fn probe_entry(
     Ok(distance)
 }
 
-/// Scan the target against the repository: phase 0 (envelopes and visit
-/// order), then phase 1 (find the best entry under the best-so-far
-/// cutoff, stopping at the first too-expensive sort key when indexed).
-/// Returns the winner's index and exact distance — minimum distance,
-/// later index on ties — or `None` for an empty repository. `seed`
-/// pre-sets the cutoff (see [`Detector::scan_best_seeded`]). The optional
-/// wall-clock deadline is checked before every entry and once per DTW
-/// row.
+/// The scan behind [`Detector::scan`] and [`Detector::classify_batch`]:
+/// phase 0 (envelopes and visit order), then phase 1 (find the best entry
+/// under the best-so-far cutoff, stopping at the first too-expensive sort
+/// key when indexed), serially or over `req.jobs` workers. Returns the
+/// winner's index and exact distance — minimum distance, later index on
+/// ties — or `None` for an empty repository. Flushes the `index.*`
+/// counters once.
 ///
 /// # Errors
 ///
-/// Returns [`DeadlineExceeded`] when `deadline` passes mid-scan.
+/// Returns [`DeadlineExceeded`] when `req.deadline` passes mid-scan.
 fn scan_target(
     state: &mut ScanState,
     repo: &ModelRepository,
     index: Option<&RepoIndex>,
     target: &CstBbs,
-    seed: Option<(usize, f64)>,
-    deadline: Option<Instant>,
+    req: &ScanRequest,
+) -> Result<Option<(usize, f64)>, DeadlineExceeded> {
+    let mut counts = ScanCounts::default();
+    let p0 = phase0(
+        &mut state.engine,
+        &state.prepared,
+        index,
+        target,
+        &mut counts,
+    );
+    debug_assert!(req.seed.is_none_or(|(i, _)| i < repo.len()));
+    let jobs = req.jobs.min(repo.len());
+    let best = if jobs > 1 {
+        visit_parallel(state, repo, &p0, req, jobs, &mut counts)?
+    } else {
+        visit_serial(state, repo, &p0, req, &mut counts)?
+    };
+    flush_scan_counts(&counts);
+    Ok(best)
+}
+
+/// Fold an entry's exact distance into the winner: minimum distance, later
+/// entry on ties — the same rule as the naive `max_by` over all scores,
+/// stated in a form that is independent of the visit order.
+fn keep_best(best: &mut Option<(usize, f64)>, i: usize, d: f64) {
+    if best.is_none_or(|(bi, bd)| d < bd || (d == bd && i > bi)) {
+        *best = Some((i, d));
+    }
+}
+
+/// Serial phase 1: visit entries in ascending `(key, index)` order under
+/// the best-so-far cutoff (pre-set by `req.seed`), checking the deadline
+/// before every entry.
+fn visit_serial(
+    state: &mut ScanState,
+    repo: &ModelRepository,
+    p0: &Phase0<'_>,
+    req: &ScanRequest,
+    counts: &mut ScanCounts,
 ) -> Result<Option<(usize, f64)>, DeadlineExceeded> {
     let ScanState { engine, prepared } = state;
-    let mut counts = ScanCounts::default();
-    let p0 = phase0(engine, prepared, index, target, &mut counts);
-    let n = repo.len();
-    debug_assert!(seed.is_none_or(|(i, _)| i < n));
-    let mut best: Option<(usize, f64)> = seed;
+    let mut best = req.seed;
     // Lazy visit order: a min-heap over `(key bits, index)` pops entries
     // in exactly the ascending `(key, index)` sequence a full sort would
     // produce (keys are non-negative finite floats, whose bit patterns
@@ -1002,7 +862,7 @@ fn scan_target(
             .collect(),
         None => BinaryHeap::new(),
     };
-    let mut linear = 0..n;
+    let mut linear = 0..repo.len();
     loop {
         // Without an index there are no keys: visit in repository order
         // with a key that can never trip the stop below.
@@ -1012,10 +872,8 @@ fn scan_target(
             linear.next().map(|i| (i, f64::NEG_INFINITY))
         };
         let Some((i, key)) = next else { break };
-        if let Some(d) = deadline {
-            if Instant::now() >= d {
-                return Err(DeadlineExceeded);
-            }
+        if req.deadline.is_some_and(|d| Instant::now() >= d) {
+            return Err(DeadlineExceeded);
         }
         let cutoff = best.map_or(f64::INFINITY, |(_, d)| d);
         if key > cutoff {
@@ -1038,19 +896,110 @@ fn scan_target(
             i,
             p0.env[i],
             cutoff,
-            deadline,
-            &mut counts,
+            req.deadline,
+            counts,
         )?;
         if let Some(d) = distance {
-            // Minimum distance, later entry on ties — the same rule as
-            // the naive `max_by` over all scores, stated in a form that
-            // is independent of the visit order.
-            if best.is_none_or(|(bi, bd)| d < bd || (d == bd && i > bi)) {
-                best = Some((i, d));
-            }
+            keep_best(&mut best, i, d);
         }
     }
-    flush_scan_counts(&counts);
+    Ok(best)
+}
+
+/// Parallel phase 1 over `jobs` workers, each on its own clone of `state`
+/// (phase 0 already interned the target, so the prepared target is valid
+/// in every clone). Workers drain the materialized visit order by a
+/// shared atomic position and share the best-so-far distance, seeded like
+/// the serial scan's, through an atomic. The winner is merged from the
+/// completed distances under the serial scan's tie rule, so the result is
+/// the serial scan's, independent of which worker got where first.
+fn visit_parallel(
+    state: &ScanState,
+    repo: &ModelRepository,
+    p0: &Phase0<'_>,
+    req: &ScanRequest,
+    jobs: usize,
+    counts: &mut ScanCounts,
+) -> Result<Option<(usize, f64)>, DeadlineExceeded> {
+    let n = repo.len();
+    let order = sorted_order(p0.keys.as_deref(), n);
+    let next = AtomicUsize::new(0);
+    // Best distance so far, as bits: for non-negative IEEE floats the
+    // bit pattern orders exactly like the value, so `fetch_min` on
+    // bits is `fetch_min` on distances.
+    let best_bits = AtomicU64::new(req.seed.map_or(f64::INFINITY, |(_, d)| d).to_bits());
+    // Raised by the first worker to see the deadline pass; the others
+    // stop before their next entry.
+    let expired = AtomicBool::new(false);
+    let slots: Vec<EntrySlot> = (0..n).map(|_| Mutex::new(None)).collect();
+    let shared_counts: Mutex<ScanCounts> = Mutex::new(ScanCounts::default());
+    std::thread::scope(|s| {
+        for _ in 0..jobs {
+            s.spawn(|| {
+                let ScanState {
+                    mut engine,
+                    prepared,
+                } = state.clone();
+                let mut local = ScanCounts::default();
+                while !expired.load(Ordering::Relaxed) {
+                    let pos = next.fetch_add(1, Ordering::Relaxed);
+                    if pos >= n {
+                        break;
+                    }
+                    if req.deadline.is_some_and(|d| Instant::now() >= d) {
+                        expired.store(true, Ordering::Relaxed);
+                        break;
+                    }
+                    let i = order[pos];
+                    let cutoff = f64::from_bits(best_bits.load(Ordering::Relaxed));
+                    if let Some(keys) = &p0.keys {
+                        // The shared best only ever decreases, so a key
+                        // above the cutoff now stays above it forever:
+                        // skipping here is admissible even though other
+                        // workers are still lowering the best.
+                        if keys[i] > cutoff {
+                            local.entries_skipped += 1;
+                            engine.note_lb_skip(&p0.target, &prepared[i]);
+                            continue;
+                        }
+                    }
+                    match probe_entry(
+                        &mut engine,
+                        &p0.target,
+                        &prepared[i],
+                        &repo.entries()[i],
+                        p0.query.as_ref(),
+                        i,
+                        p0.env[i],
+                        cutoff,
+                        req.deadline,
+                        &mut local,
+                    ) {
+                        Ok(Some(d)) => {
+                            best_bits.fetch_min(d.to_bits(), Ordering::Relaxed);
+                            *slot_lock(&slots[i]) = Some(d);
+                        }
+                        Ok(None) => {}
+                        Err(DeadlineExceeded) => {
+                            expired.store(true, Ordering::Relaxed);
+                            break;
+                        }
+                    }
+                }
+                slot_lock(&shared_counts).absorb(&local);
+            });
+        }
+    });
+    if expired.into_inner() {
+        return Err(DeadlineExceeded);
+    }
+    let mut best = req.seed;
+    for (i, slot) in slots.into_iter().enumerate() {
+        if let Some(d) = slot.into_inner().unwrap_or_else(|e| e.into_inner()) {
+            keep_best(&mut best, i, d);
+        }
+    }
+    counts.absorb(&slot_lock(&shared_counts));
     Ok(best)
 }
 
@@ -1108,6 +1057,11 @@ mod tests {
             .collect()
     }
 
+    fn scan(d: &Detector, target: &CstBbs) -> Detection {
+        d.scan(target, &ScanRequest::default())
+            .expect("no deadline was given")
+    }
+
     fn repo4() -> ModelRepository {
         let mut repo = ModelRepository::new();
         repo.add_model(AttackFamily::FlushReload, "fr", dummy_model(4, 0));
@@ -1120,7 +1074,7 @@ mod tests {
     #[test]
     fn empty_repo_classifies_benign() {
         let d = Detector::new(ModelRepository::new(), 0.45).unwrap();
-        let det = d.classify_model(&dummy_model(3, 0));
+        let det = scan(&d, &dummy_model(3, 0));
         assert!(!det.is_attack());
         assert_eq!(det.family(), None);
         assert_eq!(det.best_score(), 0.0);
@@ -1131,7 +1085,7 @@ mod tests {
         let mut repo = ModelRepository::new();
         repo.add_model(AttackFamily::FlushReload, "m", dummy_model(4, 0));
         let d = Detector::new(repo, 0.45).unwrap();
-        let det = d.classify_model(&dummy_model(4, 0));
+        let det = scan(&d, &dummy_model(4, 0));
         assert!(det.is_attack());
         assert_eq!(det.family(), Some(AttackFamily::FlushReload));
         assert_eq!(det.best_score(), 1.0);
@@ -1142,7 +1096,7 @@ mod tests {
         let mut repo = ModelRepository::new();
         repo.add_model(AttackFamily::PrimeProbe, "m", dummy_model(20, 0));
         let d = Detector::new(repo, 0.45).unwrap();
-        let det = d.classify_model(&dummy_model(3, 1));
+        let det = scan(&d, &dummy_model(3, 1));
         assert!(!det.is_attack(), "score {}", det.best_score());
     }
 
@@ -1152,7 +1106,7 @@ mod tests {
         repo.add_model(AttackFamily::PrimeProbe, "pp", dummy_model(10, 1));
         repo.add_model(AttackFamily::FlushReload, "fr", dummy_model(4, 0));
         let d = Detector::new(repo, 0.1).unwrap();
-        let det = d.classify_model(&dummy_model(4, 0));
+        let det = scan(&d, &dummy_model(4, 0));
         assert_eq!(det.family(), Some(AttackFamily::FlushReload));
         assert_eq!(det.best_entry().map(|e| e.index), Some(1));
         assert_eq!(det.best_entry().map(|e| &*e.poc), Some("fr"));
@@ -1168,7 +1122,7 @@ mod tests {
             .iter()
             .map(|e| similarity_score(&target, &e.model))
             .fold(f64::NEG_INFINITY, f64::max);
-        let det = d.classify_model(&target);
+        let det = scan(&d, &target);
         assert_eq!(det.best_score(), naive_best);
         let best = det.best_entry().unwrap();
         assert_eq!(
@@ -1186,26 +1140,30 @@ mod tests {
             }
             for (t, marker) in [(1usize, 0u64), (4, 0), (5, 1), (10, 1)] {
                 let target = dummy_model(t, marker);
-                let want = d.scan_best(&target, None).unwrap();
+                let want = scan(&d, &target);
                 // Seed with the true winner's exact distance (the case a
                 // streaming session produces), and with every other
                 // entry's exact distance (a stale tracked entry after the
-                // winner changed): all must reproduce the unseeded result
-                // bit for bit.
+                // winner changed), serially and over workers: all must
+                // reproduce the unseeded result bit for bit.
                 for i in 0..d.repository().len() {
                     let exact = crate::similarity::model_distance(
                         &target,
                         &d.repository().entries()[i].model,
                     );
-                    let got = d.scan_best_seeded(&target, Some((i, exact)), None).unwrap();
-                    let (wi, wd) = want.unwrap();
-                    let (gi, gd) = got.unwrap();
-                    assert_eq!(wi, gi, "indexed={indexed} t={t} marker={marker} seed={i}");
-                    assert_eq!(
-                        wd.to_bits(),
-                        gd.to_bits(),
-                        "indexed={indexed} t={t} marker={marker} seed={i}"
-                    );
+                    for jobs in [1, 3] {
+                        let req = ScanRequest {
+                            seed: Some((i, exact)),
+                            jobs,
+                            ..ScanRequest::default()
+                        };
+                        let got = d.scan(&target, &req).unwrap();
+                        let (w, g) = (want.best_entry().unwrap(), got.best_entry().unwrap());
+                        let at =
+                            format!("indexed={indexed} t={t} marker={marker} seed={i} jobs={jobs}");
+                        assert_eq!(w.index, g.index, "{at}");
+                        assert_eq!(w.score.to_bits(), g.score.to_bits(), "{at}");
+                    }
                 }
             }
         }
@@ -1231,8 +1189,12 @@ mod tests {
         for n in [0, 1, 3, 5, 12] {
             for marker in [0, 1] {
                 let target = dummy_model(n, marker);
-                let serial = d.classify_model(&target);
-                let parallel = d.classify_model_jobs(&target, 3);
+                let serial = scan(&d, &target);
+                let req = ScanRequest {
+                    jobs: 3,
+                    ..ScanRequest::default()
+                };
+                let parallel = d.scan(&target, &req).unwrap();
                 assert_eq!(serial, parallel);
             }
         }
@@ -1248,12 +1210,15 @@ mod tests {
         for n in [0, 1, 3, 5, 12] {
             for marker in [0, 1] {
                 let target = dummy_model(n, marker);
-                let a = detection_json("t", &linear.classify_model(&target)).to_string();
-                let b = detection_json("t", &indexed.classify_model(&target)).to_string();
+                let a = detection_json("t", &scan(&linear, &target)).to_string();
+                let b = detection_json("t", &scan(&indexed, &target)).to_string();
                 assert_eq!(a, b, "indexed scan diverged (n={n}, marker={marker})");
                 for jobs in [2, 3] {
-                    let j = detection_json("t", &indexed.classify_model_jobs(&target, jobs))
-                        .to_string();
+                    let req = ScanRequest {
+                        jobs,
+                        ..ScanRequest::default()
+                    };
+                    let j = detection_json("t", &indexed.scan(&target, &req).unwrap()).to_string();
                     assert_eq!(
                         a, j,
                         "indexed jobs={jobs} diverged (n={n}, marker={marker})"
@@ -1280,7 +1245,7 @@ mod tests {
         let targets: Vec<CstBbs> = (0..7)
             .map(|i| dummy_model(i % 5 + 1, i as u64 % 2))
             .collect();
-        let serial: Vec<Detection> = targets.iter().map(|t| d.classify_model(t)).collect();
+        let serial: Vec<Detection> = targets.iter().map(|t| scan(&d, t)).collect();
         assert_eq!(serial, d.classify_batch(&targets, 4));
     }
 
@@ -1300,26 +1265,31 @@ mod tests {
     fn deadline_scan_matches_serial_or_aborts() {
         let d = Detector::new(repo4(), 0.2).unwrap();
         let target = dummy_model(5, 0);
-        // A generous deadline yields the exact same detection.
-        let far = Instant::now() + std::time::Duration::from_secs(3600);
-        let serial = d.classify_model(&target);
-        let timed = d.classify_model_deadline(&target, far).expect("in time");
-        assert_eq!(serial, timed);
-        // An already-passed deadline aborts before any entry.
-        let past = Instant::now() - std::time::Duration::from_millis(1);
-        assert_eq!(
-            d.classify_model_deadline(&target, past).err(),
-            Some(DeadlineExceeded)
-        );
+        let serial = scan(&d, &target);
+        for jobs in [1, 3] {
+            // A generous deadline yields the exact same detection.
+            let far = ScanRequest {
+                deadline: Some(Instant::now() + std::time::Duration::from_secs(3600)),
+                jobs,
+                ..ScanRequest::default()
+            };
+            assert_eq!(d.scan(&target, &far), Ok(serial.clone()), "jobs={jobs}");
+            // An already-passed deadline aborts before any entry.
+            let past = ScanRequest {
+                deadline: Some(Instant::now() - std::time::Duration::from_millis(1)),
+                jobs,
+                ..ScanRequest::default()
+            };
+            assert_eq!(d.scan(&target, &past), Err(DeadlineExceeded), "jobs={jobs}");
+        }
         // The detector still works after an aborted scan.
-        let again = d.classify_model(&target);
-        assert_eq!(serial.best_score(), again.best_score());
+        assert_eq!(serial, scan(&d, &target));
     }
 
     #[test]
     fn detection_json_is_stable_and_complete() {
         let d = Detector::new(repo4(), 0.2).unwrap();
-        let det = d.classify_model(&dummy_model(4, 0));
+        let det = scan(&d, &dummy_model(4, 0));
         let json = detection_json("target", &det);
         let text = json.to_string();
         let parsed = Json::parse(&text).expect("valid JSON");

@@ -52,7 +52,6 @@ pub mod engine;
 pub mod index;
 pub mod modeling;
 pub mod persist;
-pub mod shard;
 pub mod similarity;
 pub mod stream;
 
@@ -63,6 +62,7 @@ pub use builder::{BuilderStats, ModelBuilder, ModelKey};
 pub use cst::{Cst, CstBbs, CstStep};
 pub use detector::{
     detection_json, Detection, Detector, EntryScore, InvalidThreshold, ModelRepository, RepoEntry,
+    ScanRequest,
 };
 pub use engine::{
     Bounded, DeadlineExceeded, EngineStats, PrefixDtw, PreparedModel, SimilarityEngine,
@@ -75,7 +75,6 @@ pub use persist::{
     index_sidecar_path, load_index, load_model_cache, load_repository, model_text, save_index,
     save_model_cache, save_repository, LoadRepoError,
 };
-pub use shard::{Shard, ShardedDetector};
 pub use similarity::{
     cst_distance, dtw, dtw_with_path, explain_similarity, levenshtein, similarity_score, Alignment,
 };

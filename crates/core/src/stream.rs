@@ -17,12 +17,12 @@
 //!   lists actually changed.
 //!
 //! * [`StreamSession`] — anytime scoring. Each increment re-scans the
-//!   repository with [`ShardedDetector::scan_best_seeded`], seeding the
-//!   best-so-far cutoff with the previous winner's exact distance to the
-//!   *current* prefix, maintained cheaply by [`PrefixDtw`] (append-only
-//!   prefixes extend the DTW table by new rows instead of recomputing
-//!   it). Seeding never changes the result — only how much of the
-//!   repository the lower-bound cascade has to touch.
+//!   repository with [`Detector::scan`], seeding the best-so-far cutoff
+//!   ([`ScanRequest::seed`]) with the previous winner's exact distance to
+//!   the *current* prefix, maintained cheaply by [`PrefixDtw`]
+//!   (append-only prefixes extend the DTW table by new rows instead of
+//!   recomputing it). Seeding never changes the result — only how much
+//!   of the repository the lower-bound cascade has to touch.
 //!
 //! **Alarm semantics.** A session holds an alarm threshold τ and a
 //! sustain count k: when the best similarity score stays at or above τ
@@ -42,13 +42,12 @@ use sca_cpu::{Execution, Victim};
 use sca_isa::Program;
 
 use crate::cst::CstBbs;
-use crate::detector::{Detection, InvalidThreshold};
+use crate::detector::{Detection, Detector, InvalidThreshold, ScanRequest};
 use crate::engine::{DeadlineExceeded, PrefixDtw, SimilarityEngine};
 use crate::modeling::{
     finish_model, graph_from_trace, model_from_blocks_memo, ModelError, ModelingConfig,
     ModelingOutcome, ReplayMemo,
 };
-use crate::shard::ShardedDetector;
 
 /// Incrementally model a running program: advance the execution by
 /// bounded increments, snapshot the committed prefix's model on demand.
@@ -205,8 +204,8 @@ pub struct StreamUpdate {
     pub committed: u64,
     /// Total committed instructions after this push.
     pub steps: u64,
-    /// Best repository match for the current prefix: global entry index
-    /// and similarity score (`None` for an empty repository).
+    /// Best repository match for the current prefix: entry index and
+    /// similarity score (`None` for an empty repository).
     pub best: Option<(usize, f64)>,
     /// The best match's PoC name.
     pub best_poc: Option<Arc<str>>,
@@ -227,7 +226,7 @@ const POOL_LIMIT: usize = 1 << 16;
 /// (module docs).
 #[derive(Debug)]
 pub struct StreamSession<'a> {
-    detector: &'a ShardedDetector,
+    detector: &'a Detector,
     modeler: StreamingModeler,
     threshold: f64,
     sustain: u32,
@@ -237,7 +236,7 @@ pub struct StreamSession<'a> {
     /// per-cell arithmetic depends only on the models, never on which
     /// engine interned them.
     engine: SimilarityEngine,
-    /// The tracked previous winner: global entry index plus its rolling
+    /// The tracked previous winner: entry index plus its rolling
     /// prefix-DTW table against the growing target.
     tracked: Option<(usize, PrefixDtw)>,
     increments: u64,
@@ -256,7 +255,7 @@ impl<'a> StreamSession<'a> {
     /// [`StreamSession::validate_threshold`]; `begin` only debug-asserts
     /// it.
     pub fn begin(
-        detector: &'a ShardedDetector,
+        detector: &'a Detector,
         program: &Program,
         victim: &Victim,
         modeling: &ModelingConfig,
@@ -309,25 +308,24 @@ impl<'a> StreamSession<'a> {
     ) -> Result<StreamUpdate, DeadlineExceeded> {
         let committed = self.modeler.advance(budget.unwrap_or(self.increment));
         let target = self.modeler.model_cst();
-        let best = self.scan(&target, deadline)?;
+        let detection = self.scan(&target, deadline)?;
         self.increments += 1;
 
-        let score = best.map(|(i, d)| (i, 1.0 / (d + 1.0)));
-        if score.is_some_and(|(_, s)| s >= self.threshold) {
+        let best = detection.best_entry();
+        if best.is_some_and(|e| e.score >= self.threshold) {
             self.streak += 1;
         } else {
             self.streak = 0;
         }
         let mut fired = None;
         if self.alarm.is_none() && self.streak >= self.sustain {
-            if let Some((i, s)) = score {
-                let entry = self.detector.entry(i);
+            if let Some(e) = best {
                 let alarm = Alarm {
                     at_step: self.modeler.steps(),
                     at_increment: self.increments,
-                    family: entry.family,
-                    poc: entry.name.clone(),
-                    score: s,
+                    family: e.family,
+                    poc: e.poc.clone(),
+                    score: e.score,
                 };
                 self.alarm = Some(alarm.clone());
                 fired = Some(alarm);
@@ -337,15 +335,15 @@ impl<'a> StreamSession<'a> {
             increment: self.increments,
             committed,
             steps: self.modeler.steps(),
-            best: score,
-            best_poc: score.map(|(i, _)| self.detector.entry(i).name.clone()),
-            best_family: score.map(|(i, _)| self.detector.entry(i).family),
+            best: best.map(|e| (e.index, e.score)),
+            best_poc: best.map(|e| e.poc.clone()),
+            best_family: best.map(|e| e.family),
             fired,
             done: self.modeler.is_done(),
         })
     }
 
-    /// The detection for the current prefix — the seeded scan's winner,
+    /// The detection for the current prefix — the seeded scan's detection,
     /// byte-identical to classifying the prefix's batch model outright.
     ///
     /// # Errors
@@ -353,21 +351,21 @@ impl<'a> StreamSession<'a> {
     /// Returns [`DeadlineExceeded`] when `deadline` passes mid-scan.
     pub fn detection(&mut self, deadline: Option<Instant>) -> Result<Detection, DeadlineExceeded> {
         let target = self.modeler.model_cst();
-        let best = self.scan(&target, deadline)?;
-        Ok(self.detector.detection_from(best))
+        self.scan(&target, deadline)
     }
 
-    /// Seeded scatter-scan of the current target, updating the tracked
-    /// winner and its prefix-DTW table for the next increment.
+    /// Seeded scan of the current target, updating the tracked winner and
+    /// its prefix-DTW table for the next increment.
     fn scan(
         &mut self,
         target: &CstBbs,
         deadline: Option<Instant>,
-    ) -> Result<Option<(usize, f64)>, DeadlineExceeded> {
+    ) -> Result<Detection, DeadlineExceeded> {
+        let entries = self.detector.repository().entries();
         if self.engine.pool_len() > POOL_LIMIT {
             self.engine = SimilarityEngine::new();
             if let Some((i, _)) = self.tracked {
-                let prepared = self.engine.prepare(&self.detector.entry(i).model);
+                let prepared = self.engine.prepare(&entries[i].model);
                 self.tracked = Some((i, PrefixDtw::new(&prepared)));
             }
         }
@@ -376,17 +374,22 @@ impl<'a> StreamSession<'a> {
             Some((i, pd)) => Some((*i, pd.distance_to(&mut self.engine, &prepared_target))),
             None => None,
         };
-        let best = self.detector.scan_best_seeded(target, seed, deadline)?;
-        if let Some((bi, _)) = best {
-            if self.tracked.as_ref().map(|(i, _)| *i) != Some(bi) {
+        let req = ScanRequest {
+            seed,
+            deadline,
+            ..ScanRequest::default()
+        };
+        let detection = self.detector.scan(target, &req)?;
+        if let Some(best) = detection.best_entry() {
+            if self.tracked.as_ref().map(|(i, _)| *i) != Some(best.index) {
                 // New winner: start a fresh rolling table. It has not
                 // seen the current prefix yet — the next increment's
                 // seed pays one full recompute, then extends again.
-                let prepared = self.engine.prepare(&self.detector.entry(bi).model);
-                self.tracked = Some((bi, PrefixDtw::new(&prepared)));
+                let prepared = self.engine.prepare(&entries[best.index].model);
+                self.tracked = Some((best.index, PrefixDtw::new(&prepared)));
             }
         }
-        Ok(best)
+        Ok(detection)
     }
 
     /// The alarm, if one has fired. Latched: never `Some` then `None`.
@@ -428,7 +431,7 @@ impl<'a> StreamSession<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detector::{Detector, ModelRepository};
+    use crate::detector::ModelRepository;
     use crate::modeling::build_model;
     use sca_attacks::poc::{self, PocParams};
 
@@ -438,16 +441,14 @@ mod tests {
         cfg
     }
 
-    fn enrolled(cfg: &ModelingConfig) -> ShardedDetector {
+    fn enrolled(cfg: &ModelingConfig) -> Detector {
         let mut repo = ModelRepository::new();
         for family in AttackFamily::ALL {
             let poc = poc::representative(family, &PocParams::default());
             repo.add_poc(family, &poc.program, &poc.victim, cfg)
                 .expect("PoC models");
         }
-        ShardedDetector::from_detector(
-            Detector::new(repo, Detector::DEFAULT_THRESHOLD).expect("threshold in range"),
-        )
+        Detector::new(repo, Detector::DEFAULT_THRESHOLD).expect("threshold in range")
     }
 
     #[test]
@@ -544,11 +545,10 @@ mod tests {
         while !session.is_done() {
             let up = session.push(None, None).unwrap();
             let target = session.modeler().model_cst();
-            let want = sd.scan_best_seeded(&target, None, None).unwrap();
-            let want = want.map(|(i, d)| (i, 1.0 / (d + 1.0)));
+            let want = sd.scan(&target, &ScanRequest::default()).unwrap();
             assert_eq!(
                 up.best.map(|(i, s)| (i, s.to_bits())),
-                want.map(|(i, s)| (i, s.to_bits())),
+                want.best_entry().map(|e| (e.index, e.score.to_bits())),
                 "seeded streaming scan must match the unseeded scan bitwise"
             );
         }

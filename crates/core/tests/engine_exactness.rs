@@ -6,7 +6,7 @@
 use sca_attacks::poc::{self, PocParams};
 use sca_attacks::AttackFamily;
 use scaguard::{
-    build_model, similarity_score, CstBbs, Detector, ModelRepository, ModelingConfig,
+    build_model, similarity_score, CstBbs, Detector, ModelRepository, ModelingConfig, ScanRequest,
     SimilarityEngine,
 };
 
@@ -63,7 +63,9 @@ fn detector_scores_match_naive_on_poc_cross_matrix() {
             .map(|e| similarity_score(target, &e.model))
             .fold(f64::NEG_INFINITY, f64::max);
         // The pruned scan's best is bitwise the naive best.
-        let pruned = detector.classify_model(target);
+        let pruned = detector
+            .scan(target, &ScanRequest::default())
+            .expect("no deadline");
         assert_eq!(
             pruned.best_score().to_bits(),
             naive_best.to_bits(),
@@ -81,14 +83,20 @@ fn detector_scores_match_naive_on_poc_cross_matrix() {
             );
         }
         // Parallel scan and batch agree with the serial pruned scan.
-        let jobs = detector.classify_model_jobs(target, 4);
+        let req = ScanRequest {
+            jobs: 4,
+            ..ScanRequest::default()
+        };
+        let jobs = detector.scan(target, &req).expect("no deadline");
         assert_eq!(jobs.best, pruned.best, "{name}: jobs best index differs");
         assert_eq!(jobs.best_score().to_bits(), pruned.best_score().to_bits());
     }
     let targets: Vec<CstBbs> = models.iter().map(|(_, m)| m.clone()).collect();
     let batch = detector.classify_batch(&targets, 3);
     for ((name, target), det) in models.iter().zip(&batch) {
-        let serial = detector.classify_model(target);
+        let serial = detector
+            .scan(target, &ScanRequest::default())
+            .expect("no deadline");
         assert_eq!(det.best, serial.best, "{name}: batch best index differs");
         assert_eq!(det.best_score().to_bits(), serial.best_score().to_bits());
         assert_eq!(det.family(), serial.family());

@@ -12,8 +12,8 @@ use sca_isa::NormInst;
 use scaguard::engine::lb_interval;
 use scaguard::persist::{index_from_str, index_to_string};
 use scaguard::{
-    detection_json, Cst, CstBbs, CstStep, Detector, IndexConfig, ModelRepository, RepoIndex,
-    SimilarityEngine,
+    detection_json, Cst, CstBbs, CstStep, Detection, Detector, IndexConfig, ModelRepository,
+    RepoIndex, ScanRequest, SimilarityEngine,
 };
 
 const CASES: usize = 64;
@@ -115,6 +115,13 @@ fn cascade_bounds_never_exceed_the_exact_distance() {
 /// serially and under a worker pool.
 #[test]
 fn indexed_detections_are_byte_identical_to_linear() {
+    fn scan(detector: &Detector, target: &CstBbs, jobs: usize) -> Detection {
+        let req = ScanRequest {
+            jobs,
+            ..ScanRequest::default()
+        };
+        detector.scan(target, &req).expect("no deadline")
+    }
     let mut rng = SmallRng::seed_from_u64(seed(2));
     for n in [0usize, 1, 2, 3, 5, 9, 16] {
         let repo = arb_repo(&mut rng, n);
@@ -130,18 +137,17 @@ fn indexed_detections_are_byte_identical_to_linear() {
             targets.push(entry.model.clone());
         }
         for (t, target) in targets.iter().enumerate() {
-            let want = detection_json("t", &linear.classify_model(target)).to_string();
-            let got = detection_json("t", &indexed.classify_model(target)).to_string();
+            let want = detection_json("t", &scan(&linear, target, 1)).to_string();
+            let got = detection_json("t", &scan(&indexed, target, 1)).to_string();
             assert_eq!(want, got, "n={n} target {t}: serial indexed differs");
             for jobs in [2usize, 3] {
-                let got =
-                    detection_json("t", &indexed.classify_model_jobs(target, jobs)).to_string();
+                let got = detection_json("t", &scan(&indexed, target, jobs)).to_string();
                 assert_eq!(want, got, "n={n} target {t} jobs={jobs}: parallel differs");
             }
         }
         let serial: Vec<String> = targets
             .iter()
-            .map(|t| detection_json("t", &linear.classify_model(t)).to_string())
+            .map(|t| detection_json("t", &scan(&linear, t, 1)).to_string())
             .collect();
         let batch: Vec<String> = indexed
             .classify_batch(&targets, 3)

@@ -2,21 +2,27 @@
 //! takes, the detection's winner is the argmin of the exhaustive
 //! reference [`Detector::classify_model_full`] — minimum distance, the
 //! later repository index on ties — and its score is that entry's score
-//! bit for bit. The paths: serial, `--jobs`, batch, linear and indexed,
-//! 1/2/4 shards, and a streaming session's `done` detection. The targets
-//! are modeled programs that are in no repository: seeded mutants of every
-//! family and benign programs. The repository enrolls each family's
+//! bit for bit. The paths: every [`ScanRequest`] cell of linear and
+//! indexed detectors × serial and 3 jobs × no seed and each entry's exact
+//! distance as the seed × no deadline and a deadline an hour ahead, plus
+//! batch, and a streaming session's `done` detection. A deadline already
+//! past aborts the scan instead. The targets are modeled programs that
+//! are in no repository: seeded mutants of every family and benign
+//! programs. The repository enrolls each family's
 //! representative twice, so whenever a representative wins, the tie rule
 //! decides between its two copies.
+
+use std::time::{Duration, Instant};
 
 use sca_attacks::dataset::mutated_family;
 use sca_attacks::mutate::MutationConfig;
 use sca_attacks::poc::{self, PocParams};
 use sca_attacks::{benign, AttackFamily, Sample};
+use scaguard::similarity::model_distance;
 use scaguard::stream::{StreamConfig, StreamSession};
 use scaguard::{
-    build_model, CstBbs, Detection, Detector, EntryScore, ModelRepository, ModelingConfig,
-    ShardedDetector,
+    build_model, CstBbs, DeadlineExceeded, Detection, Detector, EntryScore, ModelRepository,
+    ModelingConfig, ScanRequest,
 };
 
 /// Seed of the enrolled variants.
@@ -107,53 +113,71 @@ fn assert_winner(path: &str, got: &Detection, want: &EntryScore) {
     assert_eq!(best, want, "{path}: winner entry");
 }
 
-#[test]
-fn every_scan_path_reports_the_exhaustive_argmin() {
-    let cfg = modeling();
-    let repo = repository(&cfg);
+/// The linear and the indexed detector over one repository.
+fn detectors(repo: &ModelRepository) -> [(&'static str, Detector); 2] {
     let linear = Detector::new(repo.clone(), Detector::DEFAULT_THRESHOLD).expect("threshold");
     let mut indexed = Detector::new(repo.clone(), Detector::DEFAULT_THRESHOLD).expect("threshold");
     indexed
         .set_index(indexed.build_index())
         .expect("a fresh index matches");
-    let sharded: Vec<ShardedDetector> = [1, 2, 4]
-        .iter()
-        .map(|&s| ShardedDetector::new(repo.clone(), Detector::DEFAULT_THRESHOLD, s).expect("ok"))
-        .collect();
+    [("linear", linear), ("indexed", indexed)]
+}
+
+#[test]
+fn every_scan_path_reports_the_exhaustive_argmin() {
+    let cfg = modeling();
+    let repo = repository(&cfg);
+    let detectors = detectors(&repo);
+    let linear = &detectors[0].1;
 
     let targets: Vec<CstBbs> = target_samples().iter().map(|s| model(s, &cfg)).collect();
     let mut tied = 0;
     for (t, target) in targets.iter().enumerate() {
-        let (want, ties) = reference(&linear, target);
+        let (want, ties) = reference(linear, target);
         if ties > 1 {
             tied += 1;
         }
-        for (name, detector) in [("linear", &linear), ("indexed", &indexed)] {
-            assert_winner(
-                &format!("target {t} {name} serial"),
-                &detector.classify_model(target),
-                &want,
-            );
-            assert_winner(
-                &format!("target {t} {name} jobs=3"),
-                &detector.classify_model_jobs(target, 3),
-                &want,
-            );
-        }
-        for sd in &sharded {
-            assert_winner(
-                &format!("target {t} shards={}", sd.shard_count()),
-                &sd.classify_model(target),
-                &want,
-            );
+        let seeds: Vec<Option<(usize, f64)>> = std::iter::once(None)
+            .chain(
+                repo.entries()
+                    .iter()
+                    .enumerate()
+                    .map(|(i, e)| Some((i, model_distance(target, &e.model)))),
+            )
+            .collect();
+        for (name, detector) in &detectors {
+            for jobs in [1, 3] {
+                for &seed in &seeds {
+                    for deadline in [None, Some(Instant::now() + Duration::from_secs(3600))] {
+                        let req = ScanRequest {
+                            seed,
+                            deadline,
+                            jobs,
+                        };
+                        let got = detector.scan(target, &req).expect("an hour is enough");
+                        assert_winner(&format!("target {t} {name} {req:?}"), &got, &want);
+                    }
+                }
+                // A deadline already past aborts, serially and over workers.
+                let past = ScanRequest {
+                    deadline: Some(Instant::now() - Duration::from_millis(1)),
+                    jobs,
+                    ..ScanRequest::default()
+                };
+                assert_eq!(
+                    detector.scan(target, &past),
+                    Err(DeadlineExceeded),
+                    "target {t} {name} jobs={jobs}"
+                );
+            }
         }
     }
-    for detector in [&linear, &indexed] {
+    for (name, detector) in &detectors {
         for (t, det) in detector.classify_batch(&targets, 2).iter().enumerate() {
             assert_winner(
-                &format!("target {t} batch"),
+                &format!("target {t} {name} batch"),
                 det,
-                &reference(&linear, &targets[t]).0,
+                &reference(linear, &targets[t]).0,
             );
         }
     }
@@ -167,16 +191,14 @@ fn every_scan_path_reports_the_exhaustive_argmin() {
 fn a_streams_done_detection_is_the_exhaustive_argmin_of_its_prefix() {
     let cfg = modeling();
     let repo = repository(&cfg);
-    let reference_detector =
-        Detector::new(repo.clone(), Detector::DEFAULT_THRESHOLD).expect("threshold");
+    let detectors = detectors(&repo);
     let samples = target_samples();
-    // One attack mutant and one benign program, each over 1 and 2 shards.
+    // One attack mutant and one benign program, each over the linear and
+    // the indexed detector.
     for sample in [&samples[0], &samples[AttackFamily::ALL.len()]] {
-        for shards in [1, 2] {
-            let sd = ShardedDetector::new(repo.clone(), Detector::DEFAULT_THRESHOLD, shards)
-                .expect("threshold");
+        for (name, detector) in &detectors {
             let mut session = StreamSession::begin(
-                &sd,
+                detector,
                 &sample.program,
                 &sample.victim,
                 &cfg,
@@ -189,9 +211,9 @@ fn a_streams_done_detection_is_the_exhaustive_argmin_of_its_prefix() {
             let done = session.detection(None).expect("no deadline");
             let prefix = session.modeler().model_cst();
             assert_winner(
-                &format!("{} stream shards={shards}", sample.name()),
+                &format!("{} stream {name}", sample.name()),
                 &done,
-                &reference(&reference_detector, &prefix).0,
+                &reference(&detectors[0].1, &prefix).0,
             );
         }
     }

@@ -22,15 +22,14 @@
 //!   owns the nonblocking listener and every accepted socket, assembles
 //!   frames from partial reads, and parks idle connections as plain
 //!   registry entries (no thread per connection — thousands of idle
-//!   watchers cost nothing); plus the fixed worker pool that scatters
-//!   each classify across per-shard probe pools and merges the shard
-//!   verdicts deterministically, hot repository reload (atomic `Arc`
-//!   swap — each request is answered by exactly one repository
-//!   generation), and deadline propagation into the engine's
-//!   bounded-DTW hook.
+//!   watchers cost nothing); plus the fixed worker pool that hands each
+//!   classify's scan to a scan pool of per-generation detector clones,
+//!   hot repository reload (atomic `Arc` swap — each request is
+//!   answered by exactly one repository generation), and deadline
+//!   propagation into the engine's bounded-DTW hook.
 //!
 //! [`client`] is the matching blocking client, used by `scaguard
-//! submit`, the integration tests, and the serve benchmark. It speaks
+//! submit`, the integration tests, and the `scabench` benchmark. It speaks
 //! both the classic one-in-one-out mode and the pipelined mode
 //! ([`Client::pipeline`]) with in-order reassembly, and batches many
 //! programs into one `classify-batch` frame with

@@ -62,8 +62,10 @@ use sca_cpu::Victim;
 use sca_telemetry::Json;
 
 /// Protocol version reported by `ping`. Version 2 dropped the
-/// per-entry `scores` array from detections.
-pub const PROTOCOL_VERSION: u64 = 2;
+/// per-entry `scores` array from detections; version 3 dropped the
+/// repository shards (`stats.shards`, `timings.shards` and the
+/// `serve.shards` / `serve.shard{i}.*` gauges).
+pub const PROTOCOL_VERSION: u64 = 3;
 
 /// Base address of the shared victim region (matches the CLI).
 pub const SHARED_BASE: u64 = 0x1000_0000;

@@ -17,9 +17,9 @@
 //!    │  work frames (classify/classify-batch/model): queue
 //!    ▼
 //! BoundedQueue ──> worker pool ────────┬──> reply ──> conn outbox ──> reactor
-//!                     │ scatter        │ gather+merge
+//!                     │ scan task      │ detection
 //!                     ▼                │
-//!        per-shard probe queues ──> shard pools (detector clones)
+//!          scan queue ──> scan pool (per-generation detector clones)
 //! ```
 //!
 //! - **Event-driven connections**: there is no thread per connection.
@@ -59,15 +59,14 @@
 //! - **Admission control**: the queue is bounded; when it is full the
 //!   reactor sheds the request with an explicit `overloaded` error
 //!   instead of queueing unboundedly or stalling the connection.
-//! - **Sharded scan**: the repository is split into [`ServeConfig::shards`]
-//!   contiguous slices, each with its own probe queue and threads holding
-//!   *private clones* of the slice's detector (re-cloned only when the
-//!   repository generation moves). A classify scatters one probe per
-//!   shard, gathers the per-shard `(global index, distance)` winners, and
-//!   merges them with the exact tie-break the unsharded scan uses — the
-//!   detection is byte-identical at any shard count. Even at one shard
-//!   the clone-per-thread pool wins: scans no longer serialize on a
-//!   single detector's scan-state mutex.
+//! - **Scan pool**: a worker hands each model to the scan pool and waits
+//!   for its [`Detection`]. Every scan thread holds a *private clone* of
+//!   the repository's [`Detector`] (re-cloned only when the repository
+//!   generation moves), so concurrent scans never serialize on one
+//!   detector's scan-state mutex. A full or closed pool scans inline on
+//!   the worker instead. Scanning on the worker itself was measured and
+//!   made `interactive` latency worse: a worker that answers sooner
+//!   leaves more requests waiting for the reactor's timed sweep.
 //! - **Deadline propagation**: a request deadline (per-request
 //!   `deadline_ms` or the server default) is fixed at admission and
 //!   propagated into the engine's bounded-DTW hook, so an expired
@@ -96,7 +95,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -111,8 +110,8 @@ use sca_telemetry::{
 use scaguard::persist::LoadRepoError;
 use scaguard::{
     detection_json, index_sidecar_path, load_index, load_repository, model_text, Alarm, CstBbs,
-    DeadlineExceeded, Detector, InvalidThreshold, ModelBuilder, ModelRepository, ModelingConfig,
-    ShardedDetector, StreamConfig, StreamSession, StreamUpdate, StreamingModeler,
+    DeadlineExceeded, Detection, Detector, InvalidThreshold, ModelBuilder, ModelRepository,
+    ModelingConfig, ScanRequest, StreamConfig, StreamSession, StreamUpdate, StreamingModeler,
 };
 
 use crate::protocol::{
@@ -129,13 +128,8 @@ pub struct ServeConfig {
     /// Address to bind (`127.0.0.1:0` by default: loopback, ephemeral
     /// port — read the bound address from [`ServerHandle::addr`]).
     pub addr: String,
-    /// Worker-pool size (default 4).
+    /// Worker-pool size (default 4); the scan pool has as many threads.
     pub workers: usize,
-    /// Repository shard count (default 1). Each shard owns a contiguous
-    /// slice of the enrolled repository plus its own index and probe
-    /// pool; a classify fans out to every shard and merges the winners
-    /// deterministically, so detections are byte-identical at any count.
-    pub shards: usize,
     /// Admission-queue capacity (default 64); requests beyond it are
     /// shed with an `overloaded` response.
     pub queue_depth: usize,
@@ -193,7 +187,6 @@ impl ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:0".into(),
             workers: 4,
-            shards: 1,
             queue_depth: 64,
             deadline_ms: None,
             threshold: Detector::DEFAULT_THRESHOLD,
@@ -264,14 +257,17 @@ impl From<InvalidThreshold> for ServeError {
 struct RepoState {
     generation: u64,
     path: PathBuf,
-    detector: ShardedDetector,
+    detector: Detector,
 }
 
 impl RepoState {
     fn json(&self) -> Json {
         Json::Obj(vec![
             ("generation".into(), Json::Num(self.generation as f64)),
-            ("entries".into(), Json::Num(self.detector.len() as f64)),
+            (
+                "entries".into(),
+                Json::Num(self.detector.repository().len() as f64),
+            ),
             ("path".into(), Json::Str(self.path.display().to_string())),
         ])
     }
@@ -469,33 +465,16 @@ fn request_kind(request: &Request) -> &'static str {
     }
 }
 
-/// One scatter probe: find one shard's best `(global index, distance)`
-/// candidate for `target`. The shard index is implicit — each probe
-/// queue is drained only by its own shard's threads.
-struct ShardTask {
+/// One scan for the scan pool: `target` against `repo`'s detector.
+struct ScanTask {
     repo: Arc<RepoState>,
     target: Arc<CstBbs>,
     deadline: Option<Instant>,
-    /// The requesting frame's trace id: the probe binds it so the
-    /// engine spans it emits land in (and are drained from) the right
-    /// trace instead of leaking into the resident registry.
+    /// The requesting frame's trace id: the scan binds it so the engine
+    /// spans it emits land in (and are drained from) the right trace
+    /// instead of leaking into the resident registry.
     trace_id: u64,
-    reply: mpsc::Sender<ShardVerdict>,
-}
-
-/// One shard's answer to a probe.
-struct ShardVerdict {
-    shard: usize,
-    scan_ns: u64,
-    result: Result<Option<(usize, f64)>, DeadlineExceeded>,
-}
-
-/// One shard's probe queue plus its busy gauge. The pool's threads each
-/// hold a private, generation-cached clone of the shard's detector, so
-/// steady-state probes touch no shared locks at all.
-struct ShardPool {
-    queue: BoundedQueue<ShardTask>,
-    busy: AtomicU64,
+    reply: mpsc::Sender<Result<Detection, DeadlineExceeded>>,
 }
 
 /// State shared by the acceptor, handlers, and workers.
@@ -527,8 +506,10 @@ struct Shared {
     flight: FlightRecorder,
     /// Open slow-request log, when configured.
     slow_log: Option<Mutex<File>>,
-    /// One probe pool per repository shard (always at least one).
-    shard_pools: Vec<ShardPool>,
+    /// The scan pool's queue. Its threads each hold a private,
+    /// generation-cached clone of the detector, so steady-state scans
+    /// touch no shared locks at all.
+    scans: BoundedQueue<ScanTask>,
 }
 
 impl Shared {
@@ -587,7 +568,7 @@ pub struct ServerHandle {
     shared: Arc<Shared>,
     reactor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    shard_threads: Vec<JoinHandle<()>>,
+    scanners: Vec<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -612,19 +593,17 @@ impl ServerHandle {
         self.shared.begin_shutdown();
     }
 
-    /// Wait for every worker, shard thread, and the reactor to exit.
+    /// Wait for every worker, scan thread, and the reactor to exit.
     pub fn join(mut self) {
         // The reactor keeps sweeping while the workers drain so their
         // final replies still reach clients; it is stopped last.
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
-        // Only once the gatherer workers are gone can no new probes be
-        // scattered; now the shard pools can drain out and exit.
-        for pool in &self.shared.shard_pools {
-            pool.queue.close();
-        }
-        for t in self.shard_threads.drain(..) {
+        // Only once the workers are gone can no new scan be queued; now
+        // the scan pool can drain out and exit.
+        self.shared.scans.close();
+        for t in self.scanners.drain(..) {
             let _ = t.join();
         }
         // Every reply is now in its outbox: one final bounded flush
@@ -673,24 +652,16 @@ fn attach_index(detector: &mut Detector, repo_path: &Path) {
         .expect("a freshly built index matches its repository");
 }
 
-/// Build the (possibly sharded) detector for a freshly loaded
-/// repository. At one shard the full-repository sidecar index
-/// (`<repo>.idx`) is attached; above that, each shard builds its own
-/// in-memory index over its slice — a full-repository sidecar cannot
-/// match a sub-repository's fingerprint.
-fn build_sharded(
+/// Build the detector for a freshly loaded repository, with its
+/// sidecar index (`<repo>.idx`) attached.
+fn build_detector(
     repo: ModelRepository,
     repo_path: &Path,
     threshold: f64,
-    shards: usize,
-) -> Result<ShardedDetector, InvalidThreshold> {
-    if shards.max(1) == 1 {
-        let mut detector = Detector::new(repo, threshold)?;
-        attach_index(&mut detector, repo_path);
-        Ok(ShardedDetector::from_detector(detector))
-    } else {
-        ShardedDetector::new(repo, threshold, shards)
-    }
+) -> Result<Detector, InvalidThreshold> {
+    let mut detector = Detector::new(repo, threshold)?;
+    attach_index(&mut detector, repo_path);
+    Ok(detector)
 }
 
 pub fn spawn(config: ServeConfig) -> Result<ServerHandle, ServeError> {
@@ -704,12 +675,7 @@ pub fn spawn(config: ServeConfig) -> Result<ServerHandle, ServeError> {
         None => None,
     };
     let repo = load_repository(&config.repo_path)?;
-    let detector = build_sharded(
-        repo,
-        Path::new(&config.repo_path),
-        config.threshold,
-        config.shards,
-    )?;
+    let detector = build_detector(repo, Path::new(&config.repo_path), config.threshold)?;
     let listener = TcpListener::bind(&config.addr)?;
     // The reactor owns every socket and must never block in a syscall:
     // accepts, reads, and writes all go nonblocking and are revisited
@@ -717,16 +683,6 @@ pub fn spawn(config: ServeConfig) -> Result<ServerHandle, ServeError> {
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     let workers = config.workers.max(1);
-    let shard_count = config.shards.max(1);
-    // Probe-queue capacity: every gatherer worker can have at most one
-    // probe outstanding per shard at a time, so `workers` never sheds;
-    // the slack absorbs the inline-fallback race.
-    let shard_pools: Vec<ShardPool> = (0..shard_count)
-        .map(|_| ShardPool {
-            queue: BoundedQueue::new(workers * 2),
-            busy: AtomicU64::new(0),
-        })
-        .collect();
     let shared = Arc::new(Shared {
         builder: ModelBuilder::new(&ModelingConfig::default()),
         repo: Mutex::new(Arc::new(RepoState {
@@ -747,7 +703,10 @@ pub fn spawn(config: ServeConfig) -> Result<ServerHandle, ServeError> {
         wake: Arc::new(ReactorWake::default()),
         flight: FlightRecorder::new(config.flight_capacity),
         slow_log,
-        shard_pools,
+        // Every worker has at most one scan outstanding at a time, so
+        // `workers` never sheds; the slack absorbs the inline-fallback
+        // race.
+        scans: BoundedQueue::new(workers * 2),
         config,
     });
 
@@ -756,16 +715,11 @@ pub fn spawn(config: ServeConfig) -> Result<ServerHandle, ServeError> {
     // them, and hand the caller the `io::Error`.
     let fail_spawn = |shared: &Arc<Shared>,
                       workers: Vec<JoinHandle<()>>,
-                      shard_threads: Vec<JoinHandle<()>>,
+                      scanners: Vec<JoinHandle<()>>,
                       e: io::Error| {
         shared.queue.close();
-        for pool in &shared.shard_pools {
-            pool.queue.close();
-        }
-        for h in workers {
-            let _ = h.join();
-        }
-        for h in shard_threads {
+        shared.scans.close();
+        for h in workers.into_iter().chain(scanners) {
             let _ = h.join();
         }
         ServeError::Io(e)
@@ -783,19 +737,16 @@ pub fn spawn(config: ServeConfig) -> Result<ServerHandle, ServeError> {
         }
     }
 
-    // The shard pools share the worker pool's parallelism budget:
-    // ~`workers` probe threads total, spread evenly, at least one per
-    // shard. Excess probes queue briefly rather than oversubscribing.
-    let per_shard = workers.div_ceil(shard_count).max(1);
-    let mut shard_threads: Vec<JoinHandle<()>> = Vec::with_capacity(shard_count * per_shard);
-    for (s, t) in (0..shard_count).flat_map(|s| (0..per_shard).map(move |t| (s, t))) {
-        let sh = Arc::clone(&shared);
+    // The scan threads are named as workers: they run request work.
+    let mut scanners: Vec<JoinHandle<()>> = Vec::with_capacity(workers);
+    for i in 0..workers {
+        let s = Arc::clone(&shared);
         match thread::Builder::new()
-            .name(format!("sca-serve-shard-{s}-{t}"))
-            .spawn(move || shard_loop(&sh, s))
+            .name(format!("sca-serve-worker-scan-{i}"))
+            .spawn(move || scan_loop(&s))
         {
-            Ok(h) => shard_threads.push(h),
-            Err(e) => return Err(fail_spawn(&shared, pool, shard_threads, e)),
+            Ok(h) => scanners.push(h),
+            Err(e) => return Err(fail_spawn(&shared, pool, scanners, e)),
         }
     }
 
@@ -807,14 +758,14 @@ pub fn spawn(config: ServeConfig) -> Result<ServerHandle, ServeError> {
     };
     let reactor = match reactor {
         Ok(h) => h,
-        Err(e) => return Err(fail_spawn(&shared, pool, shard_threads, e)),
+        Err(e) => return Err(fail_spawn(&shared, pool, scanners, e)),
     };
 
     Ok(ServerHandle {
         shared,
         reactor: Some(reactor),
         workers: pool,
-        shard_threads,
+        scanners,
     })
 }
 
@@ -831,6 +782,10 @@ const SWEEP_IDLE: Duration = Duration::from_millis(5);
 const ACCEPT_BACKOFF_MIN: Duration = Duration::from_millis(10);
 /// Accept-error backoff ceiling.
 const ACCEPT_BACKOFF_MAX: Duration = Duration::from_secs(1);
+/// Bytes a connection may still send after its fatal frame error before
+/// it is closed regardless: the rest of one oversized frame, with room to
+/// spare.
+const DISCARD_BUDGET: usize = 16 * 1024 * 1024;
 /// How long the exiting reactor keeps flushing already-queued replies
 /// to slow peers before dropping the remaining connections.
 const FINAL_FLUSH_GRACE: Duration = Duration::from_millis(250);
@@ -882,9 +837,13 @@ struct Conn {
     /// in-flight replies still flush; the socket closes once both are
     /// drained and no producer holds a reference.
     eof: bool,
-    /// A fatal frame error (oversized) was answered; close as soon as
-    /// the error frame is flushed — the stream cannot be resynchronized.
+    /// A fatal frame error (oversized) was answered; the stream cannot be
+    /// resynchronized, so once the error frame is flushed the connection
+    /// only winds down (see [`discard_input`]).
     draining: bool,
+    /// Bytes discarded since the write side was shut down; `None` until
+    /// then.
+    discarded: Option<usize>,
     /// A shutdown ack is in the outbox; `begin_shutdown` runs strictly
     /// after it (and everything before it) hits the socket, so the ack
     /// can never race process exit.
@@ -903,6 +862,7 @@ impl Conn {
             spoke: false,
             eof: false,
             draining: false,
+            discarded: None,
             shutdown_after_flush: false,
         }
     }
@@ -1084,7 +1044,7 @@ fn reject_at_capacity(shared: &Arc<Shared>, mut stream: TcpStream, active: usize
 /// hanging) in exactly three hostile cases: a stall timeout (mid-frame,
 /// never-spoke, or never-draining peer — counted in `timeouts`), an
 /// oversized frame (answered with a `bad_request` naming the limit
-/// first), and a transport error.
+/// first, then wound down by [`discard_input`]), and a transport error.
 fn sweep_conn(
     shared: &Arc<Shared>,
     conn: &mut Conn,
@@ -1114,12 +1074,16 @@ fn sweep_conn(
         shared.begin_shutdown();
         progress = true;
     }
-    // 3. A connection that answered a fatal frame error closes as soon
-    // as the error frame is out (the write-stall timeout below still
-    // bounds a peer that never drains it).
+    // 3. A connection that answered a fatal frame error winds down once
+    // the error frame is out (the write-stall timeout below still bounds
+    // a peer that never drains it).
     if conn.draining {
         if conn.shared.outbox.is_empty() {
-            return SweepOutcome::Close(CloseReason::Clean);
+            match discard_input(conn, buf) {
+                SweepOutcome::Progress => progress = true,
+                SweepOutcome::Idle => {}
+                close => return close,
+            }
         }
     } else {
         // 4. Read whatever is available, unless the connection is
@@ -1178,6 +1142,9 @@ fn sweep_conn(
                         trace,
                     ));
                     conn.draining = true;
+                    // Release the oversized frame's bytes now rather than
+                    // at close.
+                    conn.assembler = FrameAssembler::new(limit);
                 }
             }
         }
@@ -1205,12 +1172,69 @@ fn sweep_conn(
         if conn.write_stalled_since.is_some_and(|s| s.elapsed() >= t) {
             return SweepOutcome::Close(CloseReason::Timeout);
         }
-        let paused = conn.shared.paused.load(Ordering::Acquire) || conn.shutdown_after_flush;
-        let awaiting_frame = !conn.eof && !paused && (conn.assembler.has_partial() || !conn.spoke);
-        if awaiting_frame && conn.last_read.elapsed() >= t {
-            return SweepOutcome::Close(CloseReason::Timeout);
+        if conn.draining {
+            // A rejected peer that goes quiet without closing has its
+            // answer and owes nothing: let it go, uncounted.
+            if conn.discarded.is_some() && conn.last_read.elapsed() >= t {
+                return SweepOutcome::Close(CloseReason::Clean);
+            }
+        } else {
+            let paused = conn.shared.paused.load(Ordering::Acquire) || conn.shutdown_after_flush;
+            let awaiting_frame =
+                !conn.eof && !paused && (conn.assembler.has_partial() || !conn.spoke);
+            if awaiting_frame && conn.last_read.elapsed() >= t {
+                return SweepOutcome::Close(CloseReason::Timeout);
+            }
         }
     }
+    if progress {
+        SweepOutcome::Progress
+    } else {
+        SweepOutcome::Idle
+    }
+}
+
+/// Wind down a connection whose fatal frame error is flushed. Closing a
+/// socket with unread input makes the kernel send a reset instead of a
+/// FIN, and the peer may then see `ECONNRESET` instead of EOF, or lose
+/// the error frame altogether. So the write side is shut down first (the
+/// peer reads the error frame, then EOF), and whatever the peer is still
+/// sending is read and thrown away until its own EOF. Closes once that
+/// EOF arrives, after [`DISCARD_BUDGET`] bytes, or on a transport error;
+/// the stall timeout in [`sweep_conn`] bounds a peer that goes quiet.
+fn discard_input(conn: &mut Conn, buf: &mut [u8]) -> SweepOutcome {
+    let mut progress = false;
+    let mut discarded = match conn.discarded {
+        Some(n) => n,
+        None => {
+            let _ = conn.stream.shutdown(Shutdown::Write);
+            conn.last_read = Instant::now();
+            progress = true;
+            0
+        }
+    };
+    let mut burst = 0;
+    loop {
+        match conn.stream.read(buf) {
+            Ok(0) => return SweepOutcome::Close(CloseReason::Clean),
+            Ok(n) => {
+                discarded += n;
+                burst += n;
+                conn.last_read = Instant::now();
+                progress = true;
+                if discarded >= DISCARD_BUDGET {
+                    return SweepOutcome::Close(CloseReason::Clean);
+                }
+                if n < buf.len() || burst >= READ_BURST_MAX {
+                    break;
+                }
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) if would_block(&e) => break,
+            Err(_) => return SweepOutcome::Close(CloseReason::Transport),
+        }
+    }
+    conn.discarded = Some(discarded);
     if progress {
         SweepOutcome::Progress
     } else {
@@ -1437,9 +1461,11 @@ fn stats_frame(shared: &Arc<Shared>) -> Json {
                     num(shared.streams_active.load(Ordering::Relaxed)),
                 ),
                 ("workers".into(), num(shared.config.workers.max(1) as u64)),
-                ("shards".into(), num(shared.shard_pools.len() as u64)),
                 ("repo_generation".into(), num(repo.generation)),
-                ("repo_entries".into(), num(repo.detector.len() as u64)),
+                (
+                    "repo_entries".into(),
+                    num(repo.detector.repository().len() as u64),
+                ),
                 (
                     "model_cache_entries".into(),
                     num(shared.builder.len() as u64),
@@ -1456,7 +1482,7 @@ fn stats_frame(shared: &Arc<Shared>) -> Json {
 fn live_gauges(shared: &Arc<Shared>) -> Vec<(String, u64)> {
     let s = shared.stats();
     let repo = shared.repo_snapshot();
-    let mut gauges = vec![
+    vec![
         ("serve.queue_depth".into(), shared.queue.depth() as u64),
         (
             "serve.queue_capacity".into(),
@@ -1465,9 +1491,11 @@ fn live_gauges(shared: &Arc<Shared>) -> Vec<(String, u64)> {
         ("serve.in_flight".into(), s.in_flight),
         ("serve.busy_workers".into(), s.busy_workers),
         ("serve.workers".into(), shared.config.workers.max(1) as u64),
-        ("serve.shards".into(), shared.shard_pools.len() as u64),
         ("serve.repo_generation".into(), repo.generation),
-        ("serve.repo_entries".into(), repo.detector.len() as u64),
+        (
+            "serve.repo_entries".into(),
+            repo.detector.repository().len() as u64,
+        ),
         (
             "serve.model_cache_entries".into(),
             shared.builder.len() as u64,
@@ -1478,18 +1506,7 @@ fn live_gauges(shared: &Arc<Shared>) -> Vec<(String, u64)> {
             shared.streams_active.load(Ordering::Relaxed),
         ),
         ("serve.conns_active".into(), s.conns_active),
-    ];
-    for (i, pool) in shared.shard_pools.iter().enumerate() {
-        gauges.push((
-            format!("serve.shard{i}.queue_depth"),
-            pool.queue.depth() as u64,
-        ));
-        gauges.push((
-            format!("serve.shard{i}.busy"),
-            pool.busy.load(Ordering::Relaxed),
-        ));
-    }
-    gauges
+    ]
 }
 
 fn histogram_summary(h: &Histogram) -> Json {
@@ -1588,7 +1605,7 @@ fn reload_repo(shared: &Arc<Shared>, path: Option<&str>) -> Json {
     // The threshold was validated when the server started; re-check
     // instead of unwrapping so a future config path can never panic a
     // handler thread.
-    let detector = match build_sharded(repo, &path, shared.config.threshold, shared.config.shards) {
+    let detector = match build_detector(repo, &path, shared.config.threshold) {
         Ok(d) => d,
         Err(e) => {
             shared.counters.errors.fetch_add(1, Ordering::Relaxed);
@@ -2256,10 +2273,6 @@ fn submit_reload(
 #[derive(Default)]
 struct Stages {
     entries: Vec<(String, u64)>,
-    /// Wall-clock spent scanning each shard (index-aligned with the
-    /// shard pools), summed over the request's programs. Rendered as the
-    /// per-shard `shards` detail when the repository is actually sharded.
-    shard_scan_ns: Vec<u64>,
 }
 
 impl Stages {
@@ -2278,9 +2291,8 @@ impl Stages {
 /// The `timings` object attached to a response when the request asked
 /// for one. The top-level `*_ns` stages sum to `total_ns` up to
 /// measurement noise; the span-derived DTW/lower-bound split (only
-/// available with telemetry on) nests under `detail`, and the per-shard
-/// scan split (only when sharded: the shard scans overlap in time)
-/// under `shards`, so neither ever skews that sum.
+/// available with telemetry on) nests under `detail`, so it never skews
+/// that sum.
 fn timings_json(total_ns: u64, stages: &Stages, detail: Option<(u64, u64)>) -> Json {
     let mut fields: Vec<(String, Json)> = vec![("total_ns".into(), Json::Num(total_ns as f64))];
     fields.extend(
@@ -2289,24 +2301,6 @@ fn timings_json(total_ns: u64, stages: &Stages, detail: Option<(u64, u64)>) -> J
             .iter()
             .map(|(k, ns)| (k.clone(), Json::Num(*ns as f64))),
     );
-    if stages.shard_scan_ns.len() > 1 {
-        fields.push((
-            "shards".into(),
-            Json::Arr(
-                stages
-                    .shard_scan_ns
-                    .iter()
-                    .enumerate()
-                    .map(|(i, ns)| {
-                        Json::Obj(vec![
-                            ("shard".into(), Json::Num(i as f64)),
-                            ("scan_ns".into(), Json::Num(*ns as f64)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ));
-    }
     if let Some((lb_ns, dtw_ns)) = detail {
         fields.push((
             "detail".into(),
@@ -2457,101 +2451,63 @@ fn worker_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Drain one shard's probe queue. The thread keeps a private clone of
-/// the shard's detector, re-cloned only when the repository generation
-/// moves, so steady-state probes touch no cross-thread locks at all —
-/// this is what lets concurrent classifies scan in parallel instead of
-/// serializing on one detector's scan-state mutex.
-fn shard_loop(shared: &Arc<Shared>, shard_idx: usize) {
-    let pool = &shared.shard_pools[shard_idx];
+/// Drain the scan queue. The thread keeps a private clone of the
+/// detector, re-cloned only when the repository generation moves, so
+/// steady-state scans touch no cross-thread locks at all — this is what
+/// lets concurrent classifies scan in parallel instead of serializing on
+/// one detector's scan-state mutex.
+fn scan_loop(shared: &Arc<Shared>) {
     let mut cache: Option<(u64, Detector)> = None;
-    while let Some(task) = pool.queue.pop() {
-        pool.busy.fetch_add(1, Ordering::Relaxed);
-        let shard = &task.repo.detector.shards()[shard_idx];
+    while let Some(task) = shared.scans.pop() {
         if cache
             .as_ref()
             .is_none_or(|(generation, _)| *generation != task.repo.generation)
         {
-            cache = Some((task.repo.generation, shard.detector().clone()));
+            cache = Some((task.repo.generation, task.repo.detector.clone()));
         }
         let (_, detector) = cache.as_ref().expect("cache was just filled");
-        let offset = shard.offset();
-        // Key the probe's engine spans to the originating request; the
-        // gatherer drains them after the scatter completes (the gather
-        // is a barrier, so every probe span lands first).
+        // Key the scan's engine spans to the originating request; the
+        // worker drains them after this reply arrives.
         let trace = sca_telemetry::trace_scope(task.trace_id);
-        let start = Instant::now();
-        let result = detector
-            .scan_best(&task.target, task.deadline)
-            .map(|best| best.map(|(i, d)| (offset + i, d)));
+        let result = detector.scan(&task.target, &deadline_request(task.deadline));
         drop(trace);
-        let _ = task.reply.send(ShardVerdict {
-            shard: shard_idx,
-            scan_ns: start.elapsed().as_nanos() as u64,
-            result,
-        });
-        pool.busy.fetch_sub(1, Ordering::Relaxed);
+        let _ = task.reply.send(result);
     }
 }
 
-/// Scatter one target's scan across every shard pool, gather the
-/// per-shard winners, and merge them with the unsharded tie-break
-/// (lowest distance, then highest global index) — see
-/// [`ShardedDetector::merge`] for why the result is byte-identical to
-/// the single-detector scan.
-///
-/// Accumulates each shard's scan wall-clock into `shard_ns`. Any
-/// shard's deadline abort fails the whole scan (the others abort on
-/// their own deadline checks moments later).
-fn scatter_scan(
+/// A serial, unseeded scan under `deadline`.
+fn deadline_request(deadline: Option<Instant>) -> ScanRequest {
+    ScanRequest {
+        deadline,
+        ..ScanRequest::default()
+    }
+}
+
+/// Scan `target` against `repo` on the scan pool and wait for the
+/// detection. A saturated or closing pool scans inline on this worker
+/// instead of waiting behind the very pool it is trying to feed.
+fn pooled_scan(
     shared: &Arc<Shared>,
     repo: &Arc<RepoState>,
     target: &Arc<CstBbs>,
     deadline: Option<Instant>,
     trace_id: u64,
-    shard_ns: &mut [u64],
-) -> Result<Option<(usize, f64)>, DeadlineExceeded> {
-    let (tx, rx) = mpsc::channel();
-    for (i, pool) in shared.shard_pools.iter().enumerate() {
-        let task = ShardTask {
-            repo: Arc::clone(repo),
-            target: Arc::clone(target),
-            deadline,
-            trace_id,
-            reply: tx.clone(),
-        };
-        if let Err(task) = pool.queue.try_push(task) {
-            // Pool saturated (or closing): probe inline on this worker
-            // instead of waiting — a scatter must never block behind
-            // the very pool it is trying to feed.
-            let start = Instant::now();
-            let result = task.repo.detector.shards()[i].scan_best(&task.target, deadline);
-            let _ = task.reply.send(ShardVerdict {
-                shard: i,
-                scan_ns: start.elapsed().as_nanos() as u64,
-                result,
-            });
-        }
+) -> Result<Detection, DeadlineExceeded> {
+    let (reply, answer) = mpsc::channel();
+    let task = ScanTask {
+        repo: Arc::clone(repo),
+        target: Arc::clone(target),
+        deadline,
+        trace_id,
+        reply,
+    };
+    if let Err(task) = shared.scans.try_push(task) {
+        return task
+            .repo
+            .detector
+            .scan(&task.target, &deadline_request(deadline));
     }
-    drop(tx);
-    let mut per_shard: Vec<Option<(usize, f64)>> = Vec::with_capacity(shared.shard_pools.len());
-    let mut deadline_hit = None;
-    for verdict in rx {
-        if let Some(ns) = shard_ns.get_mut(verdict.shard) {
-            *ns += verdict.scan_ns;
-        }
-        match verdict.result {
-            Ok(best) => per_shard.push(best),
-            Err(e) => deadline_hit = Some(e),
-        }
-    }
-    match deadline_hit {
-        Some(e) => Err(e),
-        // Arrival order does not matter: the merge relation is a total
-        // order on (distance, index) pairs and shard index ranges are
-        // disjoint, so the extremum is order-independent.
-        None => Ok(ShardedDetector::merge(&per_shard)),
-    }
+    answer.recv().expect("a scan thread answers every task")
 }
 
 /// Victim parse, assembly, and the builder's (possibly cached) CST-BBS
@@ -2576,9 +2532,8 @@ fn build_model(
     Ok((model, start.elapsed().as_nanos() as u64))
 }
 
-/// Classify one prebuilt model through the scatter-gather path and
-/// render its detection object (byte-identical to the offline CLI's).
-#[allow(clippy::too_many_arguments)]
+/// Classify one prebuilt model on the scan pool and render its detection
+/// object (byte-identical to the offline CLI's).
 fn classify_one(
     shared: &Arc<Shared>,
     repo: &Arc<RepoState>,
@@ -2587,20 +2542,18 @@ fn classify_one(
     threshold: Option<f64>,
     deadline: Option<Instant>,
     trace_id: u64,
-    shard_ns: &mut [u64],
 ) -> Result<Json, (&'static str, String)> {
     if let Some(t) = threshold {
         if !(0.0..=1.0).contains(&t) {
             return Err((KIND_BAD_REQUEST, format!("threshold out of range: {t}")));
         }
     }
-    let merged = scatter_scan(shared, repo, model, deadline, trace_id, shard_ns).map_err(|_| {
+    let mut detection = pooled_scan(shared, repo, model, deadline, trace_id).map_err(|_| {
         (
             KIND_DEADLINE_EXCEEDED,
             "deadline passed during similarity scan".to_string(),
         )
     })?;
-    let mut detection = repo.detector.detection_from(merged);
     if let Some(t) = threshold {
         // The threshold gates only the verdict, never the scan: the
         // winner is identical for every threshold, so a per-request
@@ -2700,7 +2653,6 @@ fn execute(shared: &Arc<Shared>, job: &Job, stages: &mut Stages) -> Json {
                 }
                 Err((kind, msg)) => return fail(kind, &msg),
             };
-            let mut shard_ns = vec![0u64; shared.shard_pools.len()];
             let scan_start = Instant::now();
             let out = classify_one(
                 shared,
@@ -2710,12 +2662,10 @@ fn execute(shared: &Arc<Shared>, job: &Job, stages: &mut Stages) -> Json {
                 *threshold,
                 job.deadline,
                 job.trace_id,
-                &mut shard_ns,
             );
             // Record how long the scan ran even when it aborts: that is
             // exactly the number a timeout post-mortem needs.
             stages.push("scan", scan_start.elapsed().as_nanos() as u64);
-            stages.shard_scan_ns = shard_ns;
             let detection = match out {
                 Ok(d) => d,
                 Err((kind, msg)) => return fail(kind, &msg),
@@ -2730,7 +2680,6 @@ fn execute(shared: &Arc<Shared>, job: &Job, stages: &mut Stages) -> Json {
         Request::ClassifyBatch { programs, .. } => {
             let mut model_ns = 0u64;
             let mut scan_ns = 0u64;
-            let mut shard_ns = vec![0u64; shared.shard_pools.len()];
             let mut results: Vec<Json> = Vec::with_capacity(programs.len());
             for p in programs {
                 // The deadline covers the whole frame; once it passes,
@@ -2740,7 +2689,6 @@ fn execute(shared: &Arc<Shared>, job: &Job, stages: &mut Stages) -> Json {
                 if expired(job.deadline) {
                     stages.push("model", model_ns);
                     stages.push("scan", scan_ns);
-                    stages.shard_scan_ns = shard_ns;
                     return fail(
                         KIND_DEADLINE_EXCEEDED,
                         &format!(
@@ -2762,7 +2710,6 @@ fn execute(shared: &Arc<Shared>, job: &Job, stages: &mut Stages) -> Json {
                             p.threshold,
                             job.deadline,
                             job.trace_id,
-                            &mut shard_ns,
                         );
                         scan_ns += scan_start.elapsed().as_nanos() as u64;
                         out
@@ -2774,7 +2721,6 @@ fn execute(shared: &Arc<Shared>, job: &Job, stages: &mut Stages) -> Json {
                     Err((kind, msg)) if kind == KIND_DEADLINE_EXCEEDED => {
                         stages.push("model", model_ns);
                         stages.push("scan", scan_ns);
-                        stages.shard_scan_ns = shard_ns;
                         return fail(kind, &msg);
                     }
                     // A bad program fails alone: its siblings' results
@@ -2793,7 +2739,6 @@ fn execute(shared: &Arc<Shared>, job: &Job, stages: &mut Stages) -> Json {
             }
             stages.push("model", model_ns);
             stages.push("scan", scan_ns);
-            stages.shard_scan_ns = shard_ns;
             sca_telemetry::counter("serve.batch_programs", programs.len() as u64);
             stages.time("render", || {
                 ok_frame(vec![

@@ -25,7 +25,7 @@ use sca_serve::{spawn, Client, ClientConfig, ServeConfig, ServerHandle};
 use sca_telemetry::Json;
 use scaguard::{
     detection_json, load_repository, save_repository, Detector, ModelBuilder, ModelRepository,
-    ModelingConfig,
+    ModelingConfig, ScanRequest,
 };
 
 /// Shared fixtures: a repository of all four PoC families on disk and a
@@ -267,7 +267,13 @@ fn network_chaos_never_hangs_or_kills_the_server() {
     let program = sca_isa::assemble("target", &fx.target_src).expect("assemble");
     let victim = protocol::parse_victim("shared:3").expect("victim");
     let model = builder.build_cst(&program, &victim).expect("model");
-    let offline = detection_json("target", &detector.classify_model(&model)).to_string();
+    let offline = detection_json(
+        "target",
+        &detector
+            .scan(&model, &ScanRequest::default())
+            .expect("no deadline"),
+    )
+    .to_string();
     assert_eq!(wire, offline, "chaos perturbed the clean-path scores");
 
     handle.shutdown();
@@ -568,7 +574,13 @@ fn watch_stream_torn_mid_increment_fails_alone() {
     let program = sca_isa::assemble("target", &fx.target_src).expect("assemble");
     let victim = protocol::parse_victim("shared:3").expect("victim");
     let model = builder.build_cst(&program, &victim).expect("model");
-    let offline = detection_json("target", &detector.classify_model(&model)).to_string();
+    let offline = detection_json(
+        "target",
+        &detector
+            .scan(&model, &ScanRequest::default())
+            .expect("no deadline"),
+    )
+    .to_string();
     assert_eq!(wire, offline, "the torn stream perturbed the clean path");
 
     handle.shutdown();

@@ -23,7 +23,7 @@ use sca_serve::{spawn, Client, ServeConfig};
 use sca_telemetry::{parse_line, Json, Outcome, Record};
 use scaguard::{
     detection_json, load_repository, save_repository, Detector, ModelBuilder, ModelRepository,
-    ModelingConfig,
+    ModelingConfig, ScanRequest,
 };
 
 struct Fixture {
@@ -278,7 +278,13 @@ fn metrics_command_exposes_counters_gauges_and_histograms() {
     let program = sca_isa::assemble("target", &fx.target_src).expect("assemble");
     let victim = protocol::parse_victim("shared:3").expect("victim");
     let model = builder.build_cst(&program, &victim).expect("model");
-    let offline = detection_json("target", &detector.classify_model(&model)).to_string();
+    let offline = detection_json(
+        "target",
+        &detector
+            .scan(&model, &ScanRequest::default())
+            .expect("no deadline"),
+    )
+    .to_string();
     assert_eq!(
         wire.get("detection").expect("detection").to_string(),
         offline,

@@ -4,7 +4,7 @@
 
 use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -20,7 +20,7 @@ use sca_serve::{spawn, Client, ClientConfig, ServeConfig};
 use sca_telemetry::Json;
 use scaguard::{
     detection_json, load_repository, save_repository, Detection, Detector, ModelBuilder,
-    ModelRepository, ModelingConfig,
+    ModelRepository, ModelingConfig, ScanRequest,
 };
 
 /// Shared on-disk fixtures: a repository of all four PoC families and a
@@ -92,7 +92,9 @@ fn offline_detection(repo: &Path) -> Detection {
     let program = sca_isa::assemble("target", &fixture().target_src).expect("assemble");
     let victim = protocol::parse_victim("shared:3").expect("victim");
     let model = builder.build_cst(&program, &victim).expect("model");
-    detector.classify_model(&model)
+    detector
+        .scan(&model, &ScanRequest::default())
+        .expect("no deadline")
 }
 
 fn generation(frame: &Json) -> u64 {
@@ -511,7 +513,7 @@ fn stats_reports_counters_and_shutdown_joins_cleanly() {
 }
 
 #[test]
-fn sharded_server_detections_match_offline_at_every_shard_count() {
+fn server_detections_match_offline_for_every_poc() {
     let fx = fixture();
     // The offline path, once per target: what `scaguard classify --json`
     // prints. Targets include each family's PoC and the shared fixture
@@ -531,45 +533,30 @@ fn sharded_server_detections_match_offline_at_every_shard_count() {
         .map(|(name, src)| {
             let program = sca_isa::assemble(name, src).expect("assemble");
             let model = builder.build_cst(&program, &victim).expect("model");
-            detection_json(name, &detector.classify_model(&model)).to_string()
+            let detection = detector
+                .scan(&model, &ScanRequest::default())
+                .expect("no deadline");
+            detection_json(name, &detection).to_string()
         })
         .collect();
 
-    for shards in [1usize, 2, 4] {
-        let mut cfg = ServeConfig::new(&fx.repo_all);
-        cfg.shards = shards;
-        let handle = spawn(cfg).expect("spawn server");
-        let mut client = Client::connect(handle.addr()).expect("connect");
-
-        let stats = client.stats().expect("stats");
-        assert_eq!(
-            stats
-                .get("stats")
-                .and_then(|s| s.get("shards"))
-                .and_then(Json::as_u64),
-            Some(shards as u64)
-        );
-        for ((name, src), want) in targets.iter().zip(&offline) {
-            let resp = client.classify(name, src, "shared:3").expect("classify");
-            assert!(is_ok(&resp), "classify failed: {resp}");
-            let wire = resp.get("detection").expect("detection").to_string();
-            assert_eq!(
-                want, &wire,
-                "shards={shards} target={name}: wire diverged from offline"
-            );
-        }
-        assert_eq!(handle.stats().shed, 0);
-        handle.shutdown();
-        handle.join();
+    let handle = spawn(ServeConfig::new(&fx.repo_all)).expect("spawn server");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    for ((name, src), want) in targets.iter().zip(&offline) {
+        let resp = client.classify(name, src, "shared:3").expect("classify");
+        assert!(is_ok(&resp), "classify failed: {resp}");
+        let wire = resp.get("detection").expect("detection").to_string();
+        assert_eq!(want, &wire, "target={name}: wire diverged from offline");
     }
+    assert_eq!(handle.stats().shed, 0);
+    handle.shutdown();
+    handle.join();
 }
 
 #[test]
 fn classify_batch_returns_per_program_results_in_submission_order() {
     let fx = fixture();
-    let mut cfg = ServeConfig::new(&fx.repo_all);
-    cfg.shards = 2;
-    let handle = spawn(cfg).expect("spawn server");
+    let handle = spawn(ServeConfig::new(&fx.repo_all)).expect("spawn server");
     let mut client = Client::connect(handle.addr()).expect("connect");
 
     // One attack, one benign, one per-program failure (unknown victim
@@ -721,6 +708,52 @@ fn pipelined_responses_may_arrive_out_of_order_and_reassemble_in_order() {
         })
         .collect();
     assert_eq!(names, ["slow", "mid", "quick"]);
+
+    handle.shutdown();
+    handle.join();
+}
+
+/// Regression: a connection whose oversized frame was rejected ends in the
+/// error frame and then a clean EOF, never a reset, even while the client
+/// is still sending the rest of the frame. Closing a socket with unread
+/// input makes the kernel reset the connection, which can also destroy the
+/// error frame before the client reads it.
+#[test]
+fn an_oversized_frame_is_answered_then_closed_without_a_reset() {
+    let fx = fixture();
+    let mut cfg = ServeConfig::new(&fx.repo_all);
+    cfg.max_frame_len = 256;
+    let handle = spawn(cfg).expect("spawn server");
+
+    let stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    // Many times the server's 16 KiB read chunk, from its own thread: the
+    // server rejects the frame long before the rest of it has arrived.
+    let mut writer = stream.try_clone().expect("clone");
+    let sender = thread::spawn(move || {
+        let frame = vec![b'x'; 4 << 20];
+        let sent = writer
+            .write_all(&frame)
+            .and_then(|()| writer.write_all(b"\n"));
+        let _ = writer.shutdown(Shutdown::Write);
+        sent
+    });
+
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("the error frame");
+    let resp = Json::parse(line.trim_end()).expect("response is JSON");
+    assert_eq!(error_kind(&resp), Some(KIND_BAD_REQUEST), "{resp}");
+    line.clear();
+    assert_eq!(reader.read_line(&mut line).expect("EOF, not a reset"), 0);
+    sender
+        .join()
+        .expect("sender thread")
+        .expect("the server took the whole frame without resetting");
+    // Still EOF once the server has closed its end.
+    assert_eq!(reader.read_line(&mut line).expect("EOF, not a reset"), 0);
 
     handle.shutdown();
     handle.join();

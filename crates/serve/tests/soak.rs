@@ -27,7 +27,7 @@ use sca_serve::{spawn, Client, ServeConfig};
 use sca_telemetry::Json;
 use scaguard::{
     detection_json, load_repository, save_repository, Detector, ModelBuilder, ModelRepository,
-    ModelingConfig,
+    ModelingConfig, ScanRequest,
 };
 
 /// How many idle connections the soak parks.
@@ -151,7 +151,13 @@ fn a_thousand_parked_connections_cost_no_threads_and_survive_the_timeout() {
     let program = sca_isa::assemble("target", &target_src).expect("assemble");
     let victim = protocol::parse_victim("shared:3").expect("victim");
     let model = builder.build_cst(&program, &victim).expect("model");
-    let offline = detection_json("target", &detector.classify_model(&model)).to_string();
+    let offline = detection_json(
+        "target",
+        &detector
+            .scan(&model, &ScanRequest::default())
+            .expect("no deadline"),
+    )
+    .to_string();
     assert_eq!(wire, offline, "wire and offline detections diverge");
 
     // Park well past the io-timeout, then wake a sample of the herd:

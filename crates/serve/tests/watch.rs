@@ -15,7 +15,7 @@ use sca_serve::{spawn, Client, ClientConfig, ServeConfig, ServerHandle, WatchOpt
 use sca_telemetry::Json;
 use scaguard::{
     build_model, detection_json, load_repository, save_repository, Detector, ModelRepository,
-    ModelingConfig,
+    ModelingConfig, ScanRequest,
 };
 
 /// A repository of all four PoC families, shared by every test in this
@@ -171,7 +171,12 @@ fn enrolled_attack_alarms_before_its_trace_ends() {
         &ModelingConfig::default(),
     )
     .expect("model");
-    let offline = detection_json("fr-watch", &detector.classify_model(&model.cst_bbs));
+    let offline = detection_json(
+        "fr-watch",
+        &detector
+            .scan(&model.cst_bbs, &ScanRequest::default())
+            .expect("no deadline"),
+    );
     assert_eq!(detection.to_string(), offline.to_string());
 
     // After `done` the stream is gone: a further push gets a

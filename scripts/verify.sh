@@ -6,10 +6,10 @@
 # scores and engine >= naive speed on a small workload), a ModelBuilder
 # exactness regression (the modeling smoke asserts builder output is
 # byte-identical to serial build_models at several job counts), a
-# served-detection exactness regression (the serve smoke asserts wire
-# responses byte-identical to the offline pipeline), or a
-# fault-tolerance regression (the chaos smoke replays the
-# fault-injection suite — delayed/truncated/garbled/dropped/oversized
+# served-detection exactness regression (the batch smoke asserts a
+# pipelined classify-batch submission byte-identical to offline
+# `classify --json`), or a fault-tolerance regression (the chaos smoke
+# replays the fault-injection suite — delayed/truncated/garbled/dropped/oversized
 # traffic and worker panics — against a release server), or an
 # observability regression (the observability smoke runs the trace-id /
 # timings / metrics / flight-recorder suite — including the
@@ -20,9 +20,14 @@
 # without the persisted sidecar), or a benchmark correctness regression
 # (the scabench smoke checks wire detections against `classify --json`
 # on all five workloads, plus the watch alarm steps).
+#
+# A failing workspace test run does not stop the gate: every later gate
+# still runs, and the script exits nonzero at the end.
 set -eu
 
 cd "$(dirname "$0")/.."
+
+FAILED=""
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check
@@ -30,8 +35,8 @@ cargo fmt --all --check
 echo "==> cargo build --workspace --release --offline"
 cargo build --workspace --release --offline
 
-echo "==> cargo test --workspace --offline"
-cargo test --workspace -q --offline
+echo "==> cargo test --workspace --offline --no-fail-fast"
+cargo test --workspace -q --offline --no-fail-fast || FAILED="$FAILED workspace-tests"
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --offline -- -D warnings
@@ -47,9 +52,6 @@ cargo run -p sca-bench --release --offline -- --smoke
 
 echo "==> modeling bench smoke"
 cargo run -p sca-bench --release --offline --bin modeling_bench -- --smoke
-
-echo "==> serve bench smoke"
-cargo run -p sca-bench --release --offline --bin serve_bench -- --smoke
 
 echo "==> chaos fault-injection smoke"
 cargo test -p sca-serve --release --offline -q --test chaos
@@ -135,8 +137,8 @@ rm "$OBS_DIR/vars.repo.idx"
 cmp -s "$OBS_DIR/rebuilt.json" "$OBS_DIR/linear.json" \
     || { echo "index smoke: missing-sidecar rebuild diverges"; exit 1; }
 
-echo "==> scale-out smoke"
-# A 4-shard server must answer a pipelined 32-program classify-batch
+echo "==> batch smoke"
+# A release server must answer a pipelined 32-program classify-batch
 # submission with detections byte-identical to the offline pipeline,
 # program for program, without shedding or panicking. Re-enroll the
 # variant repository first: the index smoke above deleted its sidecar.
@@ -149,23 +151,23 @@ while [ $i -lt 32 ]; do
     i=$((i + 1))
 done
 
-./target/release/scaguard serve "$OBS_DIR/vars.repo" --shards 4 --metrics \
-    > "$OBS_DIR/shards.log" 2>&1 &
+./target/release/scaguard serve "$OBS_DIR/vars.repo" --metrics \
+    > "$OBS_DIR/batch.log" 2>&1 &
 OBS_PID=$!
 ADDR=""
 i=0
 while [ $i -lt 100 ]; do
-    ADDR="$(sed -n 's/^listening on //p' "$OBS_DIR/shards.log")"
+    ADDR="$(sed -n 's/^listening on //p' "$OBS_DIR/batch.log")"
     [ -n "$ADDR" ] && break
     sleep 0.1
     i=$((i + 1))
 done
-[ -n "$ADDR" ] || { echo "scale-out smoke: server never came up"; exit 1; }
+[ -n "$ADDR" ] || { echo "batch smoke: server never came up"; exit 1; }
 
 ./target/release/scaguard submit "$OBS_DIR"/fleet/prog*.sasm \
     --batch 8 --addr "$ADDR" --json > "$OBS_DIR/batched.json"
 [ "$(wc -l < "$OBS_DIR/batched.json")" -eq 32 ] \
-    || { echo "scale-out smoke: expected 32 batched detections"; exit 1; }
+    || { echo "batch smoke: expected 32 batched detections"; exit 1; }
 
 : > "$OBS_DIR/offline.json"
 for prog in "$OBS_DIR"/fleet/prog*.sasm; do
@@ -173,15 +175,15 @@ for prog in "$OBS_DIR"/fleet/prog*.sasm; do
         --repo "$OBS_DIR/vars.repo" --json >> "$OBS_DIR/offline.json"
 done
 cmp -s "$OBS_DIR/batched.json" "$OBS_DIR/offline.json" \
-    || { echo "scale-out smoke: sharded batch diverges from offline"; exit 1; }
+    || { echo "batch smoke: batched detections diverge from offline"; exit 1; }
 
-./target/release/scaguard stats --addr "$ADDR" > "$OBS_DIR/shards-stats.txt"
+./target/release/scaguard stats --addr "$ADDR" > "$OBS_DIR/batch-stats.txt"
 awk '$1 == "serve.shed" && $2 + 0 > 0 { bad = 1 } END { exit bad }' \
-    "$OBS_DIR/shards-stats.txt" \
-    || { echo "scale-out smoke: requests were shed"; exit 1; }
+    "$OBS_DIR/batch-stats.txt" \
+    || { echo "batch smoke: requests were shed"; exit 1; }
 awk '$1 == "serve.panics" && $2 + 0 > 0 { bad = 1 } END { exit bad }' \
-    "$OBS_DIR/shards-stats.txt" \
-    || { echo "scale-out smoke: worker panics recorded"; exit 1; }
+    "$OBS_DIR/batch-stats.txt" \
+    || { echo "batch smoke: worker panics recorded"; exit 1; }
 
 kill "$OBS_PID" 2>/dev/null || true
 OBS_PID=""
@@ -249,9 +251,8 @@ echo "==> reactor smoke"
 # fleet of idle parked connections (threads stay O(workers); the fleet
 # example fails if any connection is refused or dropped) while classify,
 # stats, and watch traffic interleaves on fresh connections, and the
-# conns_active gauge must count the herd. The chaos suite and the
-# serve_bench exactness checks above already gate the same layer's
-# fault and clean paths.
+# conns_active gauge must count the herd. The chaos suite and the batch
+# smoke above already gate the same layer's fault and clean paths.
 FLEET_N=256
 ./target/release/scaguard serve "$OBS_DIR/pocs.repo" --metrics \
     --max-connections 4096 > "$OBS_DIR/reactor.log" 2>&1 &
@@ -306,4 +307,8 @@ kill "$FLEET_PID" 2>/dev/null || true
 kill "$OBS_PID" 2>/dev/null || true
 OBS_PID=""
 
+if [ -n "$FAILED" ]; then
+    echo "verify: FAILED:$FAILED"
+    exit 1
+fi
 echo "verify: OK"

@@ -33,7 +33,7 @@ use sca_telemetry::{Json, Record};
 use scaguard::{
     detection_json, explain_similarity, index_sidecar_path, load_index, load_repository,
     save_index, save_repository, Detector, IndexConfig, ModelBuilder, ModelRepository,
-    ModelingConfig, RepoIndex,
+    ModelingConfig, RepoIndex, ScanRequest,
 };
 
 /// Master seed for `build-repo --variants` (the dataset module's paper
@@ -74,7 +74,7 @@ fn usage() -> &'static str {
       show the DTW alignment against the best-matching PoC model (the
       entry `classify` names)
   scaguard serve <repo-file> [--addr <host:port>] [--workers <n>]
-          [--shards <n>] [--queue-depth <n>] [--deadline-ms <n>]
+          [--queue-depth <n>] [--deadline-ms <n>]
           [--threshold <0..1>] [--io-timeout-ms <n>] [--metrics]
           [--max-connections <n>] [--flight-capacity <n>] [--slow-ms <n>]
           [--slow-log <out.jsonl>]
@@ -83,12 +83,9 @@ fn usage() -> &'static str {
       reload-repo, stats, metrics, flight, shutdown), bounded admission
       queue, fixed worker pool; prints `listening on <addr>` once ready
       and runs until a client sends `shutdown`; --addr defaults to
-      127.0.0.1:0 (ephemeral port); --shards splits the repository
-      across n shard-local scan pools and scatter-gathers every
-      classify across them (default 1) — detections are byte-identical
-      at any shard count; --io-timeout-ms disconnects a client that
-      stalls mid-frame or never drains responses (default 30000; 0
-      disables) — idle connections that completed a frame park free of
+      127.0.0.1:0 (ephemeral port); --io-timeout-ms disconnects a
+      client that stalls mid-frame or never drains responses (default
+      30000; 0 disables) — idle connections that completed a frame park free of
       charge and are never timed out; --max-connections caps concurrent
       connections (beyond it a peer gets one `overloaded` frame and a
       clean close; 0 or unset = unlimited); --metrics enables the
@@ -161,7 +158,6 @@ struct Options {
     timings: bool,
     watch: bool,
     interval_ms: u64,
-    shards: usize,
     batch: Option<usize>,
     metrics: bool,
     slow_ms: Option<u64>,
@@ -195,7 +191,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         timings: false,
         watch: false,
         interval_ms: 1_000,
-        shards: 1,
         batch: None,
         metrics: false,
         slow_ms: None,
@@ -303,16 +298,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                     .map_err(|e| format!("bad interval: {e}"))?;
                 if opts.interval_ms < 100 {
                     return Err("--interval-ms must be at least 100".into());
-                }
-            }
-            "--shards" => {
-                opts.shards = it
-                    .next()
-                    .ok_or("--shards needs a count")?
-                    .parse()
-                    .map_err(|e| format!("bad shard count: {e}"))?;
-                if opts.shards == 0 {
-                    return Err("--shards must be at least 1".into());
                 }
             }
             "--batch" => {
@@ -538,19 +523,18 @@ fn cmd_classify(path: &str, opts: &Options, builder: &ModelBuilder) -> Result<()
     let detector = open_detector("classify", opts)?;
     stages.push(("open", t.elapsed()));
     let program = load_program(path)?;
-    // With --timings the model build and the scan are timed separately;
-    // the detection is identical either way (`classify_with_builder` is
-    // exactly this build + scan pair).
-    let detection = if opts.timings {
+    let detection = {
+        let mut sp = sca_telemetry::span("detect");
+        sp.attr("program", program.name());
+        sp.attr("threshold", detector.threshold());
         let t = Instant::now();
         let model = builder.build_cst(&program, &opts.victim)?;
         stages.push(("model", t.elapsed()));
         let t = Instant::now();
-        let detection = detector.classify_model_jobs(&model, opts.jobs);
+        let detection = detector.scan(&model, &jobs_request(opts))?;
         stages.push(("scan", t.elapsed()));
+        detection.annotate(&mut sp);
         detection
-    } else {
-        detector.classify_with_builder(&program, &opts.victim, builder, opts.jobs)?
     };
     let render_start = Instant::now();
     let json = detection_json(program.name(), &detection);
@@ -572,6 +556,15 @@ fn cmd_classify(path: &str, opts: &Options, builder: &ModelBuilder) -> Result<()
     Ok(())
 }
 
+/// The scan `classify` and `explain` run: `--jobs` workers, no seed, no
+/// deadline.
+fn jobs_request(opts: &Options) -> ScanRequest {
+    ScanRequest {
+        jobs: opts.jobs,
+        ..ScanRequest::default()
+    }
+}
+
 /// Run the resident detection service until a client sends `shutdown`.
 fn cmd_serve(repo: &str, opts: &Options) -> Result<(), Box<dyn Error>> {
     let mut config = ServeConfig::new(repo);
@@ -579,7 +572,6 @@ fn cmd_serve(repo: &str, opts: &Options) -> Result<(), Box<dyn Error>> {
         config.addr = addr.clone();
     }
     config.workers = opts.workers;
-    config.shards = opts.shards;
     config.queue_depth = opts.queue_depth;
     config.deadline_ms = opts.deadline_ms;
     config.threshold = opts.threshold;
@@ -1093,7 +1085,7 @@ fn cmd_explain(path: &str, opts: &Options, builder: &ModelBuilder) -> Result<(),
     let program = load_program(path)?;
     let model = builder.build_cst(&program, &opts.victim)?;
     let best = detector
-        .classify_model_jobs(&model, opts.jobs)
+        .scan(&model, &jobs_request(opts))?
         .best
         .ok_or("the repository is empty")?;
     let entry = &detector.repository().entries()[best.index];

@@ -434,6 +434,50 @@ fn bad_threshold_and_bad_victim_are_rejected() {
     assert!(!out.status.success());
 }
 
+/// A `classify --telemetry` trace: exactly one root `detect` span, and
+/// every span of the six pipeline stages under it with a nonzero duration.
+fn assert_detect_trace(text: &str) {
+    let spans: Vec<sca_telemetry::SpanRecord> = text
+        .lines()
+        .filter_map(
+            |line| match sca_telemetry::parse_line(line).expect("every line parses") {
+                sca_telemetry::Record::Span(s) => Some(s),
+                _ => None,
+            },
+        )
+        .collect();
+    let roots: Vec<&sca_telemetry::SpanRecord> = spans
+        .iter()
+        .filter(|s| s.name == "detect" && s.parent.is_none())
+        .collect();
+    assert_eq!(roots.len(), 1, "one root detect span");
+    let root_of = |span: &sca_telemetry::SpanRecord| {
+        let mut id = span.id;
+        while let Some(parent) = spans.iter().find(|s| s.id == id).and_then(|s| s.parent) {
+            id = parent;
+        }
+        id
+    };
+    for s in &spans {
+        assert!(s.duration_ns > 0, "span {} has zero duration", s.name);
+    }
+    for stage in [
+        "pipeline.execute",
+        "pipeline.collect",
+        "pipeline.model.relevant_bb",
+        "pipeline.model.graph",
+        "pipeline.model.cst_replay",
+        "pipeline.compare.dtw",
+    ] {
+        let mut found = false;
+        for s in spans.iter().filter(|s| s.name == stage) {
+            found = true;
+            assert_eq!(root_of(s), roots[0].id, "stage {stage} not under detect");
+        }
+        assert!(found, "stage {stage} missing from telemetry trace");
+    }
+}
+
 #[test]
 fn json_and_telemetry_outputs() {
     let dir = tmp_dir("telemetry");
@@ -478,35 +522,33 @@ fn json_and_telemetry_outputs() {
 
     // --telemetry wrote valid JSONL with a root detect span and all six
     // pipeline stages under it
-    let text = fs::read_to_string(&jsonl).expect("telemetry file");
-    let mut span_names = Vec::new();
-    let mut detect_root = false;
-    for line in text.lines() {
-        match sca_telemetry::parse_line(line).expect("every line parses") {
-            sca_telemetry::Record::Span(s) => {
-                if s.name == "detect" && s.parent.is_none() {
-                    detect_root = true;
-                }
-                assert!(s.duration_ns > 0, "span {} has zero duration", s.name);
-                span_names.push(s.name);
-            }
-            _ => {}
-        }
-    }
-    assert!(detect_root, "root detect span present");
-    for stage in [
-        "pipeline.execute",
-        "pipeline.collect",
-        "pipeline.model.relevant_bb",
-        "pipeline.model.graph",
-        "pipeline.model.cst_replay",
-        "pipeline.compare.dtw",
-    ] {
-        assert!(
-            span_names.iter().any(|n| n == stage),
-            "stage {stage} missing from telemetry trace"
-        );
-    }
+    assert_detect_trace(&fs::read_to_string(&jsonl).expect("telemetry file"));
+    // ... and so does the --timings path, which times the model build and
+    // the scan inside the same root span.
+    let timed_jsonl = dir.join("timed.jsonl").to_string_lossy().into_owned();
+    let out = scaguard(&[
+        "classify",
+        &fr_path,
+        "--repo",
+        &repo,
+        "--victim",
+        "shared:3",
+        "--json",
+        "--timings",
+        "--telemetry",
+        &timed_jsonl,
+    ]);
+    assert!(
+        out.status.success(),
+        "classify --timings failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        stdout,
+        "--timings changed stdout"
+    );
+    assert_detect_trace(&fs::read_to_string(&timed_jsonl).expect("telemetry file"));
 
     // stats summarizes the trace
     let out = scaguard(&["stats", &jsonl]);

@@ -4,8 +4,9 @@
 //! A `--variants 2` repository classifies a fixed set of seeded programs
 //! that are in no repository, each in its own `scaguard classify --json
 //! --telemetry` process. For every program the test pins the stdout byte
-//! count and three counters from the child's JSONL: `index.full_dtw_runs`,
-//! `index.entries_skipped` and `dtw.cells`. Wall-clock speed varies from
+//! count and four counters from the child's JSONL: `index.full_dtw_runs`,
+//! `index.entries_skipped`, `dtw.cells` and `simcache.misses` (the `D_IS`
+//! instruction-distance cache misses). Wall-clock speed varies from
 //! run to run; these counts do not. A change that moves one of them fails
 //! here on any machine, and updates the pins in the same diff with its
 //! reason in CHANGES.md.
@@ -24,14 +25,14 @@ const LEDGER_SEED: u64 = 0x1ed6_e201;
 
 /// The pins, in program order (one mutant per family, then two benign
 /// programs): name, stdout bytes, `index.full_dtw_runs`,
-/// `index.entries_skipped`, `dtw.cells`.
-const PINNED: [(&str, usize, u64, u64, u64); 6] = [
-    ("ledger-0", 123, 2, 0, 1244),
-    ("ledger-1", 122, 1, 1, 1372),
-    ("ledger-2", 128, 3, 1, 1402),
-    ("ledger-3", 133, 1, 0, 1584),
-    ("ledger-4", 128, 12, 0, 760),
-    ("ledger-5", 129, 12, 0, 1140),
+/// `index.entries_skipped`, `dtw.cells`, `simcache.misses`.
+const PINNED: [(&str, usize, u64, u64, u64, u64); 6] = [
+    ("ledger-0", 123, 2, 0, 1244, 457),
+    ("ledger-1", 122, 1, 1, 1372, 394),
+    ("ledger-2", 128, 3, 1, 1402, 493),
+    ("ledger-3", 133, 1, 0, 1584, 474),
+    ("ledger-4", 128, 12, 0, 760, 255),
+    ("ledger-5", 129, 12, 0, 1140, 378),
 ];
 
 fn scaguard(args: &[&str]) -> std::process::Output {
@@ -114,6 +115,7 @@ fn scan_work_and_output_bytes_match_the_ledger() {
             counter(&text, "index.full_dtw_runs"),
             counter(&text, "index.entries_skipped"),
             counter(&text, "dtw.cells"),
+            counter(&text, "simcache.misses"),
         ));
     }
     fs::remove_dir_all(&dir).ok();
