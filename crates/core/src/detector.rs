@@ -2,13 +2,14 @@
 //! (Section III-B.3).
 //!
 //! Classification is powered by the [`crate::engine`] similarity engine:
-//! the repository's models are prepared (interned) once per detector, a
-//! scan threads the best distance seen so far through the entries so
-//! later comparisons can be skipped by cheap lower bounds or abandoned
-//! mid-DTW, and batch workloads fan out over a std-only worker pool
-//! ([`Detector::classify_batch`]). The best score and verdict are always
-//! bitwise identical to the naive full scan; only comparisons that
-//! provably cannot win are cut short.
+//! the repository's models are prepared (interned) once per detector,
+//! together with the repository side of the bag bound
+//! ([`crate::engine::BagBound`]); a scan threads the best distance seen so
+//! far through the entries so later comparisons can be skipped by lower
+//! bounds or abandoned mid-DTW, and batch workloads fan out over a
+//! std-only worker pool ([`Detector::classify_batch`]). The best score and
+//! verdict are always bitwise identical to the naive full scan; only
+//! comparisons that provably cannot win are cut short.
 //!
 //! [`Detector::scan`] is the one scan: a [`ScanRequest`] seeds its cutoff,
 //! bounds it with a deadline, or spreads it over worker threads.
@@ -18,15 +19,16 @@
 //! A scan finds the best entry and nothing else (DESIGN.md §15).
 //! **Phase 0** gives every entry the `O(log)` interval-envelope bound
 //! ([`crate::engine::lb_interval`]) and, when a [`RepoIndex`] is
-//! attached, a sort key. **Phase 1** visits entries — in repository
-//! order, or cheapest-sort-key-first with an index — through a
-//! cheapest-first cascade (envelope → length bound → CSP envelope → pivot
-//! bound → early-abandoned DTW) under the best-so-far cutoff; with an
-//! index, the scan *stops* at the first sort key above the cutoff. A
-//! [`Detection`] carries the winner (minimum distance, later index on
-//! ties) and its exact score: a function of the target and the repository
-//! alone, never of the visit order, which is what makes indexed, linear,
-//! seeded and parallel scans byte-identical.
+//! attached, a sort key; it also histograms the target's blocks for the
+//! bag bound. **Phase 1** visits entries — in repository order, or
+//! cheapest-sort-key-first with an index — under the best-so-far cutoff:
+//! the envelope, then the bag bound, then the early-abandoned DTW, each
+//! only if the one before failed to rule the entry out. With an index the
+//! scan *stops* at the first sort key above the cutoff. A [`Detection`]
+//! carries the winner (minimum distance, later index on ties) and its
+//! exact score: a function of the target and the repository alone, never
+//! of the visit order, which is what makes indexed, linear, seeded and
+//! parallel scans byte-identical.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -43,10 +45,9 @@ use sca_telemetry::Json;
 use crate::builder::ModelBuilder;
 use crate::cst::CstBbs;
 use crate::engine::{
-    lb_csp_envelope, lb_interval, lb_length, Bounded, DeadlineExceeded, EngineStats, PreparedModel,
-    SimilarityEngine,
+    lb_interval, BagBound, Bounded, DeadlineExceeded, EngineStats, PreparedModel, SimilarityEngine,
 };
-use crate::index::{IndexConfig, IndexMismatch, QueryContext, RepoIndex};
+use crate::index::{IndexConfig, IndexMismatch, RepoIndex};
 use crate::modeling::{build_model, fnv1a, ModelError, ModelingConfig};
 use crate::persist::repository_to_string;
 
@@ -311,22 +312,29 @@ pub fn detection_json(program: &str, detection: &Detection) -> Json {
 }
 
 /// The prepared scan state a detector keeps behind a mutex: the engine
-/// (intern pool + `D_IS` cache) and the repository's prepared models.
+/// (intern pool + `D_IS` cache), the repository's prepared models, and
+/// the bag bound over them (its repository side shared by every clone).
 #[derive(Debug, Clone)]
 struct ScanState {
     engine: SimilarityEngine,
     prepared: Vec<PreparedModel>,
+    bags: BagBound,
 }
 
 impl ScanState {
     fn build(repo: &ModelRepository) -> ScanState {
         let mut engine = SimilarityEngine::new();
-        let prepared = repo
+        let prepared: Vec<PreparedModel> = repo
             .entries()
             .iter()
             .map(|e| engine.prepare(&e.model))
             .collect();
-        ScanState { engine, prepared }
+        let bags = BagBound::new(&engine, &prepared);
+        ScanState {
+            engine,
+            prepared,
+            bags,
+        }
     }
 }
 
@@ -602,7 +610,9 @@ fn slot_lock<T>(slot: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     slot.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Bridge an engine stats delta into the telemetry counters.
+/// Bridge an engine stats delta into the telemetry counters. A scan
+/// flushes its engine's delta once, and each parallel worker its own, so
+/// every skip is counted, the sort-key stop's included.
 fn flush_engine_stats(delta: EngineStats) {
     if !sca_telemetry::enabled() {
         return;
@@ -620,11 +630,11 @@ fn flush_engine_stats(delta: EngineStats) {
 /// cost is the single relaxed atomic load inside `sca_telemetry::enabled`.
 #[derive(Debug, Clone, Copy, Default)]
 struct ScanCounts {
-    /// Lower-bound evaluations across all cascade stages (envelope,
-    /// length, CSP envelope, pivot bounds).
+    /// Lower-bound evaluations: phase-0 envelopes and sort keys, and
+    /// phase-1 bag bounds.
     lb_evals: u64,
-    /// Phase-1 entries rejected without running any DTW — by a cascade
-    /// bound or by the index sort-key stop.
+    /// Phase-1 entries rejected without running any DTW — by the
+    /// envelope, the bag bound or the index sort-key stop.
     entries_skipped: u64,
     /// DTW comparisons that ran to completion (an exact distance).
     /// Abandoned probes are partial by design and not counted here.
@@ -652,10 +662,9 @@ fn flush_scan_counts(counts: &ScanCounts) {
 /// Phase 0 of a pruned scan: the prepared target, the per-entry
 /// interval-envelope bounds, and (when an index is attached) the
 /// phase-1 sort keys.
-struct Phase0<'ix> {
+struct Phase0 {
     target: PreparedModel,
-    query: Option<QueryContext<'ix>>,
-    /// Per-entry interval-envelope bound, the cascade's first stage.
+    /// Per-entry interval-envelope bound, checked first on every visit.
     env: Vec<f64>,
     /// Per-entry sort keys (`Some` only with an index): `max(env, pivot
     /// interval bound)`. Phase 1 visits entries in ascending `(key,
@@ -666,29 +675,30 @@ struct Phase0<'ix> {
     keys: Option<Vec<f64>>,
 }
 
-fn phase0<'ix>(
-    engine: &mut SimilarityEngine,
-    prepared: &[PreparedModel],
-    index: Option<&'ix RepoIndex>,
+/// Phase 0: prepare the target, start its bag-bound query, and price
+/// every entry's envelope and sort key.
+fn phase0(
+    state: &mut ScanState,
+    index: Option<&RepoIndex>,
     target: &CstBbs,
     counts: &mut ScanCounts,
-) -> Phase0<'ix> {
-    let prepared_target = engine.prepare(target);
-    let n = prepared.len();
-    let query = index.map(|ix| ix.query(target));
-    let env: Vec<f64> = prepared
+) -> Phase0 {
+    let prepared_target = state.engine.prepare(target);
+    state.bags.begin(&state.engine, &prepared_target);
+    let n = state.prepared.len();
+    let env: Vec<f64> = state
+        .prepared
         .iter()
         .map(|pm| lb_interval(&prepared_target, pm))
         .collect();
     counts.lb_evals += n as u64;
-    let keys = query.as_ref().map(|q| {
-        let keys: Vec<f64> = (0..n).map(|i| env[i].max(q.interval_bound(i))).collect();
+    let keys = index.map(|ix| {
+        let q = ix.query(target);
         counts.lb_evals += n as u64;
-        keys
+        (0..n).map(|i| env[i].max(q.interval_bound(i))).collect()
     });
     Phase0 {
         target: prepared_target,
-        query,
         env,
         keys,
     }
@@ -698,7 +708,7 @@ fn phase0<'ix>(
 /// to drain by shared atomic position: ascending `(key, index)`, i.e.
 /// cheapest first, repository order on ties (and throughout when no index
 /// is attached). The serial scan does not materialize this — it pops the
-/// same sequence lazily from a min-heap ([`scan_target`]).
+/// same sequence lazily from a min-heap ([`visit_serial`]).
 fn sorted_order(keys: Option<&[f64]>, n: usize) -> Vec<usize> {
     let mut order: Vec<usize> = (0..n).collect();
     if let Some(keys) = keys {
@@ -707,77 +717,54 @@ fn sorted_order(keys: Option<&[f64]>, n: usize) -> Vec<usize> {
     order
 }
 
-/// Phase-1 probe of one entry under `cutoff`: the cheapest-first cascade
-/// (precomputed interval envelope → length bound → CSP envelope → pivot
-/// nearest-neighbor bound → early-abandoned DTW), each stage running only
-/// if the previous one failed to disqualify the entry. Returns the exact
-/// distance when the DTW ran to completion, `None` when the entry was
-/// skipped or abandoned.
+/// Phase-1 probe of entry `i` under `cutoff`: its phase-0 envelope, then
+/// the bag bound, then the early-abandoned DTW, each running only if the
+/// previous one failed to disqualify the entry. Under an infinite cutoff
+/// (no best yet) the bag bound cannot disqualify anything, so the entry
+/// goes straight to DTW. Returns the exact distance when the DTW ran to
+/// completion, `None` when the entry was skipped or abandoned.
 ///
 /// # Errors
 ///
 /// Returns [`DeadlineExceeded`] when `deadline` passes mid-comparison.
-#[allow(clippy::too_many_arguments)]
 fn probe_entry(
-    engine: &mut SimilarityEngine,
-    target: &PreparedModel,
-    entry_model: &PreparedModel,
-    entry: &RepoEntry,
-    query: Option<&QueryContext<'_>>,
-    entry_idx: usize,
-    env: f64,
+    state: &mut ScanState,
+    repo: &ModelRepository,
+    p0: &Phase0,
+    i: usize,
     cutoff: f64,
     deadline: Option<Instant>,
     counts: &mut ScanCounts,
 ) -> Result<Option<f64>, DeadlineExceeded> {
+    let ScanState {
+        engine,
+        prepared,
+        bags,
+    } = state;
+    let (target, entry_model) = (&p0.target, &prepared[i]);
     let mut sp = sca_telemetry::span("pipeline.compare.dtw");
     let before = engine.stats();
-    let outcome = if env > cutoff {
+    let bound = if p0.env[i] > cutoff || !cutoff.is_finite() {
+        p0.env[i]
+    } else {
+        counts.lb_evals += 1;
+        bags.bound(i)
+    };
+    let outcome = if bound > cutoff {
         counts.entries_skipped += 1;
         engine.note_lb_skip(target, entry_model);
-        Bounded::AtLeast(env)
-    } else if !cutoff.is_finite() {
-        // No best yet (first visited entry): the bounds can't disqualify
-        // anything, go straight to the (unbounded) DTW.
-        let r = engine.distance_bounded_until(target, entry_model, cutoff, deadline)?;
-        counts.full_dtw_runs += 1;
-        r
+        Bounded::AtLeast(bound)
     } else {
-        let lb1 = lb_length(target, entry_model);
-        counts.lb_evals += 1;
-        if lb1 > cutoff {
-            counts.entries_skipped += 1;
-            engine.note_lb_skip(target, entry_model);
-            Bounded::AtLeast(lb1)
-        } else {
-            let lb2 = lb_csp_envelope(target, entry_model);
-            counts.lb_evals += 1;
-            if lb2 > cutoff {
-                counts.entries_skipped += 1;
-                engine.note_lb_skip(target, entry_model);
-                Bounded::AtLeast(lb2.max(lb1))
-            } else {
-                let pivot = query.map_or(0.0, |q| {
-                    counts.lb_evals += 1;
-                    q.nn_bound(entry_idx)
-                });
-                if pivot > cutoff {
-                    counts.entries_skipped += 1;
-                    engine.note_lb_skip(target, entry_model);
-                    Bounded::AtLeast(pivot)
-                } else {
-                    let r = engine.distance_bounded_until(target, entry_model, cutoff, deadline)?;
-                    if matches!(r, Bounded::Exact(_)) {
-                        counts.full_dtw_runs += 1;
-                    }
-                    r
-                }
-            }
+        let r = engine.distance_bounded_until(target, entry_model, cutoff, deadline)?;
+        if matches!(r, Bounded::Exact(_)) {
+            counts.full_dtw_runs += 1;
         }
+        r
     };
     let distance = outcome.exact();
     if sp.is_recording() {
         let delta = engine.stats().since(&before);
+        let entry = &repo.entries()[i];
         sp.attr("poc", &*entry.name);
         sp.attr("family", format!("{:?}", entry.family));
         sp.attr("cells", delta.cells);
@@ -785,7 +772,6 @@ fn probe_entry(
         sp.attr("score", score_of(outcome.lower_bound()));
         sp.attr("exact", distance.is_some());
         sca_telemetry::counter("dtw.comparisons", 1);
-        flush_engine_stats(delta);
     }
     Ok(distance)
 }
@@ -796,7 +782,7 @@ fn probe_entry(
 /// key when indexed), serially or over `req.jobs` workers. Returns the
 /// winner's index and exact distance — minimum distance, later index on
 /// ties — or `None` for an empty repository. Flushes the `index.*`
-/// counters once.
+/// counters and the engine's work once, whether or not the scan finishes.
 ///
 /// # Errors
 ///
@@ -808,23 +794,19 @@ fn scan_target(
     target: &CstBbs,
     req: &ScanRequest,
 ) -> Result<Option<(usize, f64)>, DeadlineExceeded> {
+    let before = state.engine.stats();
     let mut counts = ScanCounts::default();
-    let p0 = phase0(
-        &mut state.engine,
-        &state.prepared,
-        index,
-        target,
-        &mut counts,
-    );
+    let p0 = phase0(state, index, target, &mut counts);
     debug_assert!(req.seed.is_none_or(|(i, _)| i < repo.len()));
     let jobs = req.jobs.min(repo.len());
     let best = if jobs > 1 {
-        visit_parallel(state, repo, &p0, req, jobs, &mut counts)?
+        visit_parallel(state, repo, &p0, req, jobs, &mut counts)
     } else {
-        visit_serial(state, repo, &p0, req, &mut counts)?
+        visit_serial(state, repo, &p0, req, &mut counts)
     };
+    flush_engine_stats(state.engine.stats().since(&before));
     flush_scan_counts(&counts);
-    Ok(best)
+    best
 }
 
 /// Fold an entry's exact distance into the winner: minimum distance, later
@@ -842,11 +824,10 @@ fn keep_best(best: &mut Option<(usize, f64)>, i: usize, d: f64) {
 fn visit_serial(
     state: &mut ScanState,
     repo: &ModelRepository,
-    p0: &Phase0<'_>,
+    p0: &Phase0,
     req: &ScanRequest,
     counts: &mut ScanCounts,
 ) -> Result<Option<(usize, f64)>, DeadlineExceeded> {
-    let ScanState { engine, prepared } = state;
     let mut best = req.seed;
     // Lazy visit order: a min-heap over `(key bits, index)` pops entries
     // in exactly the ascending `(key, index)` sequence a full sort would
@@ -881,25 +862,13 @@ fn visit_serial(
             // entry still in the heap are rejected by their sort key
             // alone.
             counts.entries_skipped += (heap.len() + 1) as u64;
-            engine.note_lb_skip(&p0.target, &prepared[i]);
+            state.engine.note_lb_skip(&p0.target, &state.prepared[i]);
             for &Reverse((_, j)) in heap.iter() {
-                engine.note_lb_skip(&p0.target, &prepared[j]);
+                state.engine.note_lb_skip(&p0.target, &state.prepared[j]);
             }
             break;
         }
-        let distance = probe_entry(
-            engine,
-            &p0.target,
-            &prepared[i],
-            &repo.entries()[i],
-            p0.query.as_ref(),
-            i,
-            p0.env[i],
-            cutoff,
-            req.deadline,
-            counts,
-        )?;
-        if let Some(d) = distance {
+        if let Some(d) = probe_entry(state, repo, p0, i, cutoff, req.deadline, counts)? {
             keep_best(&mut best, i, d);
         }
     }
@@ -907,16 +876,17 @@ fn visit_serial(
 }
 
 /// Parallel phase 1 over `jobs` workers, each on its own clone of `state`
-/// (phase 0 already interned the target, so the prepared target is valid
-/// in every clone). Workers drain the materialized visit order by a
-/// shared atomic position and share the best-so-far distance, seeded like
-/// the serial scan's, through an atomic. The winner is merged from the
-/// completed distances under the serial scan's tie rule, so the result is
-/// the serial scan's, independent of which worker got where first.
+/// (phase 0 already interned the target and started its bag-bound query,
+/// so both are valid in every clone). Workers drain the materialized visit
+/// order by a shared atomic position and share the best-so-far distance,
+/// seeded like the serial scan's, through an atomic. The winner is merged
+/// from the completed distances under the serial scan's tie rule, so the
+/// result is the serial scan's, independent of which worker got where
+/// first. Each worker flushes its own engine's work.
 fn visit_parallel(
     state: &ScanState,
     repo: &ModelRepository,
-    p0: &Phase0<'_>,
+    p0: &Phase0,
     req: &ScanRequest,
     jobs: usize,
     counts: &mut ScanCounts,
@@ -936,10 +906,8 @@ fn visit_parallel(
     std::thread::scope(|s| {
         for _ in 0..jobs {
             s.spawn(|| {
-                let ScanState {
-                    mut engine,
-                    prepared,
-                } = state.clone();
+                let mut state = state.clone();
+                let start = state.engine.stats();
                 let mut local = ScanCounts::default();
                 while !expired.load(Ordering::Relaxed) {
                     let pos = next.fetch_add(1, Ordering::Relaxed);
@@ -959,22 +927,11 @@ fn visit_parallel(
                         // workers are still lowering the best.
                         if keys[i] > cutoff {
                             local.entries_skipped += 1;
-                            engine.note_lb_skip(&p0.target, &prepared[i]);
+                            state.engine.note_lb_skip(&p0.target, &state.prepared[i]);
                             continue;
                         }
                     }
-                    match probe_entry(
-                        &mut engine,
-                        &p0.target,
-                        &prepared[i],
-                        &repo.entries()[i],
-                        p0.query.as_ref(),
-                        i,
-                        p0.env[i],
-                        cutoff,
-                        req.deadline,
-                        &mut local,
-                    ) {
+                    match probe_entry(&mut state, repo, p0, i, cutoff, req.deadline, &mut local) {
                         Ok(Some(d)) => {
                             best_bits.fetch_min(d.to_bits(), Ordering::Relaxed);
                             *slot_lock(&slots[i]) = Some(d);
@@ -986,10 +943,12 @@ fn visit_parallel(
                         }
                     }
                 }
+                flush_engine_stats(state.engine.stats().since(&start));
                 slot_lock(&shared_counts).absorb(&local);
             });
         }
     });
+    counts.absorb(&slot_lock(&shared_counts));
     if expired.into_inner() {
         return Err(DeadlineExceeded);
     }
@@ -999,40 +958,29 @@ fn visit_parallel(
             keep_best(&mut best, i, d);
         }
     }
-    counts.absorb(&slot_lock(&shared_counts));
     Ok(best)
 }
 
-/// Exhaustive scan: every entry's DTW runs to completion under an
-/// infinite cutoff, so every score is exact. No pruning, no index.
+/// Exhaustive scan: every entry's DTW runs to completion, so every score
+/// is exact. No bounds, no index.
 fn scan_full(state: &mut ScanState, repo: &ModelRepository, target: &CstBbs) -> Vec<EntryScore> {
-    let ScanState { engine, prepared } = state;
-    let prepared_target = engine.prepare(target);
-    let mut counts = ScanCounts::default();
+    let ScanState {
+        engine, prepared, ..
+    } = state;
+    let before = engine.stats();
+    let target = engine.prepare(target);
     let scores = repo
         .entries()
         .iter()
         .zip(prepared.iter())
         .enumerate()
-        .map(|(i, (entry, entry_model))| {
-            let distance = probe_entry(
-                engine,
-                &prepared_target,
-                entry_model,
-                entry,
-                None,
-                i,
-                0.0,
-                f64::INFINITY,
-                None,
-                &mut counts,
-            )
-            .expect("no deadline was given");
-            let d = distance.expect("an unbounded comparison always completes");
-            EntryScore::at(i, entry, d)
-        })
+        .map(|(i, (entry, model))| EntryScore::at(i, entry, engine.distance(&target, model)))
         .collect();
-    flush_scan_counts(&counts);
+    flush_engine_stats(engine.stats().since(&before));
+    flush_scan_counts(&ScanCounts {
+        full_dtw_runs: repo.len() as u64,
+        ..ScanCounts::default()
+    });
     scores
 }
 

@@ -19,11 +19,13 @@
 //!   cutoff (the best distance seen so far in a repo scan) the
 //!   comparison is abandoned — the remaining cells can only make it
 //!   worse.
-//! * **Cascading lower bounds** ([`lb_length`], [`lb_csp`]): cheap,
-//!   provably admissible lower bounds on the true distance let a repo
-//!   scan skip an entry without touching a single Levenshtein. Both drop
-//!   a non-negative distance component, so they can never exceed the
-//!   true distance (see each function's admissibility argument).
+//! * **Lower bounds** ([`lb_interval`], [`BagBound`]): provably
+//!   admissible lower bounds on the true distance let a repo scan skip
+//!   an entry without touching a single Levenshtein. [`lb_interval`]
+//!   prices both models' step lengths and change magnitudes against the
+//!   other's value range in `O(log n)`; [`BagBound`] compares the
+//!   multisets of normalized instructions in each step, with per-step
+//!   minima memoized per query over the repository's distinct steps.
 //!
 //! Exactness is load-bearing: the detector's scores must match the naive
 //! reference (`dtw(a, b, cst_distance)`) *bitwise*, which the engine
@@ -36,6 +38,7 @@
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 use std::time::Instant;
 
 use sca_isa::NormInst;
@@ -79,7 +82,7 @@ impl EngineStats {
 }
 
 /// A CST-BBS readied for fast comparison: interned sequence ids plus the
-/// per-step values and sorted aggregates the lower bounds need.
+/// per-step values and sorted aggregates [`lb_interval`] needs.
 ///
 /// Prepared models are only meaningful with the engine that produced
 /// them (ids index that engine's pool).
@@ -89,11 +92,9 @@ pub struct PreparedModel {
     ids: Vec<u32>,
     /// Each step's cache-change magnitude `P` (precomputed once).
     changes: Vec<f64>,
-    /// Each step's instruction-sequence length.
-    lens: Vec<u32>,
-    /// `lens`, sorted — binary-searched by the length-difference bound.
+    /// Each step's instruction-sequence length, sorted.
     sorted_lens: Vec<u32>,
-    /// `changes`, sorted — binary-searched by the CSP envelope term.
+    /// `changes`, sorted.
     sorted_changes: Vec<f64>,
     /// Prefix sums of `sorted_lens` (as `f64`); `prefix_len[i]` is the
     /// sum of the `i` smallest lengths. Used by [`lb_interval`] to price
@@ -290,11 +291,10 @@ impl SimilarityEngine {
         let steps = model.steps();
         let ids: Vec<u32> = steps.iter().map(|s| self.intern(&s.norm_insts)).collect();
         let changes: Vec<f64> = steps.iter().map(|s| s.cst.change()).collect();
-        let lens: Vec<u32> = steps
+        let mut sorted_lens: Vec<u32> = steps
             .iter()
             .map(|s| u32::try_from(s.norm_insts.len()).expect("block too long"))
             .collect();
-        let mut sorted_lens = lens.clone();
         sorted_lens.sort_unstable();
         let mut sorted_changes = changes.clone();
         sorted_changes.sort_unstable_by(f64::total_cmp);
@@ -320,7 +320,6 @@ impl SimilarityEngine {
         PreparedModel {
             ids,
             changes,
-            lens,
             sorted_lens,
             sorted_changes,
             prefix_len,
@@ -605,117 +604,15 @@ impl PrefixDtw {
     }
 }
 
-/// `|p - q| / max(p, q)` — the length-difference floor of a normalized
-/// Levenshtein distance (0 when both lengths are 0).
-fn len_ratio(p: u32, q: u32) -> f64 {
-    let hi = p.max(q);
-    if hi == 0 {
-        0.0
-    } else {
-        f64::from(p.abs_diff(q)) / f64::from(hi)
-    }
-}
-
-/// The smallest `len_ratio(p, q)` over `q` in the sorted slice.
-///
-/// For `q <= p` the ratio `(p - q)/p` falls as `q` grows; for `q >= p`
-/// the ratio `1 - p/q` rises — so the minimum is attained at one of the
-/// two sorted neighbors of `p`.
-fn min_len_ratio(p: u32, sorted: &[u32]) -> f64 {
-    let at = sorted.partition_point(|&q| q < p);
-    let mut best = f64::INFINITY;
-    if at > 0 {
-        best = best.min(len_ratio(p, sorted[at - 1]));
-    }
-    if at < sorted.len() {
-        best = best.min(len_ratio(p, sorted[at]));
-    }
-    best
-}
-
-/// The smallest `|c - d|` over `d` in the sorted slice — attained at a
-/// sorted neighbor of `c`.
-fn min_change_gap(c: f64, sorted: &[f64]) -> f64 {
-    let at = sorted.partition_point(|&d| d < c);
-    let mut best = f64::INFINITY;
-    if at > 0 {
-        best = best.min((c - sorted[at - 1]).abs());
-    }
-    if at < sorted.len() {
-        best = best.min((c - sorted[at]).abs());
-    }
-    best
-}
-
-/// **Length-difference lower bound** on the DTW distance, `O(n log m)`.
-///
-/// Admissible: a warping path visits every step of each model at least
-/// once, and each visit costs `(D_IS + D_CSP)/2 ≥ D_IS/2` (since
-/// `D_CSP ≥ 0`), while `D_IS = lev/max(p,q) ≥ |p-q|/max(p,q)` (a
-/// Levenshtein distance is at least the length difference). Minimizing
-/// that floor over all steps the visit *could* have matched, summing
-/// over one model's steps, and taking the larger of the two sides
-/// therefore never exceeds the true distance. Exact (not just a bound)
-/// when either model is empty, mirroring the naive empty conventions.
-pub fn lb_length(a: &PreparedModel, b: &PreparedModel) -> f64 {
-    let (n, m) = (a.len(), b.len());
-    if n == 0 || m == 0 {
-        return if n == 0 && m == 0 {
-            0.0
-        } else {
-            (n + m) as f64
-        };
-    }
-    let over_a: f64 = a
-        .lens
-        .iter()
-        .map(|&p| min_len_ratio(p, &b.sorted_lens) * 0.5)
-        .sum();
-    let over_b: f64 = b
-        .lens
-        .iter()
-        .map(|&q| min_len_ratio(q, &a.sorted_lens) * 0.5)
-        .sum();
-    over_a.max(over_b)
-}
-
-/// The envelope term of the CSP-only bound, `O(n log m)`: each step's
-/// halved gap to the other model's nearest change magnitude, summed, max
-/// of both sides. Admissible by the same per-visit argument as
-/// [`lb_length`], with the roles of the two components swapped
-/// (`D_IS ≥ 0` dropped instead of `D_CSP ≥ 0`). This is the stage the
-/// repo scan's skip cascade uses — unlike the full [`lb_csp`] it costs
-/// nothing quadratic when it fails to disqualify an entry.
-pub fn lb_csp_envelope(a: &PreparedModel, b: &PreparedModel) -> f64 {
-    let (n, m) = (a.len(), b.len());
-    if n == 0 || m == 0 {
-        return if n == 0 && m == 0 {
-            0.0
-        } else {
-            (n + m) as f64
-        };
-    }
-    let over_a: f64 = a
-        .changes
-        .iter()
-        .map(|&c| min_change_gap(c, &b.sorted_changes) * 0.5)
-        .sum();
-    let over_b: f64 = b
-        .changes
-        .iter()
-        .map(|&c| min_change_gap(c, &a.sorted_changes) * 0.5)
-        .sum();
-    over_a.max(over_b)
-}
-
 /// One side of the interval-envelope bound over step lengths: the summed
 /// halved length-ratio floor of `a`'s steps against `b`'s *length
 /// interval* `[lo, hi]`, priced in `O(log n)` from `a`'s prefix sums.
 ///
-/// For an `a`-step of length `q` matched to any `b`-step of length
-/// `l ∈ [lo, hi]`: if `q < lo`, `len_ratio(q, l) = 1 - q/l ≥ 1 - q/lo`;
-/// if `q > hi`, `len_ratio(q, l) = 1 - l/q ≥ 1 - hi/q`; otherwise the
-/// floor is 0. Summing the closed forms over the sorted prefix sums gives
+/// A Levenshtein distance is at least the length difference, so
+/// `D_IS ≥ |q - l| / max(q, l)` for steps of lengths `q` and `l`. For an
+/// `a`-step of length `q` matched to any `b`-step of length `l ∈ [lo, hi]`:
+/// if `q < lo` that floor is `1 - q/l ≥ 1 - q/lo`; if `q > hi` it is
+/// `1 - l/q ≥ 1 - hi/q`; otherwise it is 0. Summing the closed forms over the sorted prefix sums gives
 /// the same value a term-by-term loop would (clamped at 0 against float
 /// drift, which only ever weakens the bound).
 fn interval_len_sum(a: &PreparedModel, b: &PreparedModel) -> f64 {
@@ -751,23 +648,30 @@ fn interval_change_sum(a: &PreparedModel, b: &PreparedModel) -> f64 {
 
 /// **Interval-envelope lower bound** on the DTW distance, `O(log n + log m)`.
 ///
-/// The cheapest member of the cascade: instead of searching each step's
-/// nearest neighbor in the other model (`O(n log m)` like [`lb_length`] /
-/// [`lb_csp_envelope`]), it prices every step against the other model's
-/// *value interval* — `[min, max]` of its step lengths and change
+/// The scan's phase-0 bound: it prices every step against the other
+/// model's *value interval* — `[min, max]` of its step lengths and change
 /// magnitudes — using prefix sums over the already-sorted arrays. Per
 /// model pair that's four closed-form sums and a handful of binary
-/// searches, cheap enough to evaluate for *every* repository entry before
-/// any heavier bound runs; the repo scan uses it both as the first skip
-/// stage and as the index sort key component.
+/// searches, cheap enough to evaluate for *every* repository entry; the
+/// repo scan uses it both as the first skip check and as the index sort
+/// key component.
 ///
-/// Admissible by the same per-visit argument as [`lb_length`]: a warping
-/// path visits every step at least once, each visit costs
-/// `(D_IS + D_CSP)/2`, and each component's gap to the other model's
-/// value interval never exceeds its gap to the actually-matched value.
-/// The maximum over the four sides (lengths/changes × both models) is
-/// therefore `≤ max(lb_length, lb_csp_envelope) ≤` the true distance.
+/// Admissible: a warping path visits every step at least once, each
+/// visit costs `(D_IS + D_CSP)/2`, `D_IS` is at least the normalized
+/// length difference and `D_CSP` is the change gap, and each component's
+/// gap to the other model's value interval never exceeds its gap to the
+/// actually-matched value. The maximum over the four sides
+/// (lengths/changes × both models) is therefore `≤` the true distance.
 /// Mirrors the naive empty-model conventions exactly.
+///
+/// Rounding: the prefix sums are of at most `N = n + m` terms, each at
+/// most 1 (a change magnitude, or `1/len`), and the sides subtract sums
+/// of that size, so their absolute error stays below `2·(1 + L)·N²·ε`,
+/// where `L` is the longer of the two models' longest blocks (the factor
+/// that multiplies a `1/len` prefix difference). The bound subtracts
+/// four times that before [`deflate`] adds the DTW's own margin, so it
+/// stays bitwise `≤` the DTW even when it is tight, as it is for a
+/// target whose blocks an entry repeats with other cache changes.
 pub fn lb_interval(a: &PreparedModel, b: &PreparedModel) -> f64 {
     let (n, m) = (a.len(), b.len());
     if n == 0 || m == 0 {
@@ -777,57 +681,293 @@ pub fn lb_interval(a: &PreparedModel, b: &PreparedModel) -> f64 {
             (n + m) as f64
         };
     }
-    interval_len_sum(a, b)
+    let raw = interval_len_sum(a, b)
         .max(interval_len_sum(b, a))
         .max(interval_change_sum(a, b))
-        .max(interval_change_sum(b, a))
+        .max(interval_change_sum(b, a));
+    let longest = a.sorted_lens[n - 1].max(b.sorted_lens[m - 1]);
+    let steps = (n + m) as f64;
+    let slack = 8.0 * (1.0 + f64::from(longest)) * steps * steps * f64::EPSILON;
+    deflate((raw - slack).max(0.0), n + m)
 }
 
-/// **CSP-only lower bound** on the DTW distance, `O(n·m)` with trivial
-/// per-cell cost, early-abandoned at `cutoff`.
+/// A lower bound's rounding margin against the DTW distance of models
+/// with `steps = n + m` steps between them: `bound × (1 − 4·steps·ε)`.
 ///
-/// Admissible: dropping `D_IS ≥ 0` from every per-step distance leaves
-/// `D_CSP/2 = |P_a - P_b|/2 ≤ (D_IS + D_CSP)/2`, and DTW is monotone in
-/// its per-cell costs, so the CSP-only DTW never exceeds the true one.
-/// When abandoned early the returned row minimum is a lower bound on the
-/// CSP-only distance (row minima are non-decreasing), hence still a
-/// lower bound on the true distance. As a warm-up it also seeds the
-/// envelope term: each step's gap to the other model's nearest change
-/// magnitude, which lets most non-matches fail in `O(n log m)` before
-/// the quadratic part even starts.
-pub fn lb_csp(a: &PreparedModel, b: &PreparedModel, cutoff: f64) -> f64 {
-    let (n, m) = (a.len(), b.len());
-    if n == 0 || m == 0 {
-        return if n == 0 && m == 0 {
-            0.0
-        } else {
-            (n + m) as f64
-        };
+/// The DTW's result is the left-to-right `f64` sum of the cell costs
+/// along one warping path of at most `N = n + m` cells. With unit
+/// roundoff `u = ε/2`, a left-to-right sum of `k` non-negative terms lies
+/// within a relative `γ_k = k·u / (1 − k·u)` of the exact sum, and each
+/// cell lies within a relative `2u` of the exact `(D_IS + D_CSP) / 2` it
+/// rounds. So a bound that comes within a relative `γ_N` of an exact
+/// value `≤` the path's exact sum `S` stays `≤` the DTW once multiplied
+/// by `1 − 8N·u` (exactly representable) and rounded:
+/// `(1 + γ_N)(1 − 8N·u)(1 + u)·S ≤ (1 − γ_N)(1 − 2u)·S` for every `N ≥ 1`
+/// with `N·u` far below 1, that is for every model that fits in memory.
+pub(crate) fn deflate(bound: f64, steps: usize) -> f64 {
+    bound * (1.0 - 4.0 * steps as f64 * f64::EPSILON)
+}
+
+/// `D_IS`'s bag floor for two sequences, from the longer length `max` and
+/// the size `common` of their multiset intersection: `(max - common) /
+/// max`, and 0 when both are empty.
+///
+/// An edit script with `k` matches, `s` substitutions, `d` deletions and
+/// `i` insertions between sequences of lengths `p = k + s + d` and
+/// `q = k + s + i` costs `s + d + i ≥ max(p, q) - k`, and its matches pair
+/// equal letters one to one, so `k ≤ common`. Hence `lev ≥ max - common`.
+/// The quotient is the `f64` division `compute_dis` performs, over the
+/// same denominator and a numerator no larger than the Levenshtein
+/// distance, and IEEE division rounds monotonically: the floor is bitwise
+/// `≤` the cached `D_IS`.
+#[inline]
+fn bag_floor(max: u32, common: u32) -> f64 {
+    if max == 0 {
+        0.0
+    } else {
+        f64::from(max - common) / f64::from(max)
     }
-    let envelope = lb_csp_envelope(a, b);
-    if envelope > cutoff {
-        return envelope;
-    }
-    // Full CSP-only DTW, early-abandoned like the real one.
-    let mut prev = vec![f64::INFINITY; m + 1];
-    let mut cur = vec![f64::INFINITY; m + 1];
-    prev[0] = 0.0;
-    for i in 0..n {
-        cur[0] = f64::INFINITY;
-        let mut row_min = f64::INFINITY;
-        for j in 0..m {
-            let d = (a.changes[i] - b.changes[j]).abs() / 2.0;
-            let best = prev[j].min(prev[j + 1]).min(cur[j]);
-            let cell = d + best;
-            cur[j + 1] = cell;
-            row_min = row_min.min(cell);
+}
+
+/// The repository side of a [`BagBound`], built once per repository
+/// generation and shared, read-only, by every clone.
+#[derive(Debug)]
+struct BagTable {
+    /// Letter of each normalized instruction in the interned sequences.
+    alphabet: HashMap<NormInst, u32>,
+    /// Sparse letter histogram of every sequence interned when the table
+    /// was built, as `(letter, count)` pairs in letter order: sequence
+    /// `r`'s is `hist[hist_at[r]..hist_at[r + 1]]`.
+    hist_at: Vec<usize>,
+    hist: Vec<(u32, u32)>,
+    /// Length of each of those sequences.
+    seq_len: Vec<u32>,
+    /// The distinct `(sequence id, change)` steps of the entries.
+    steps: Vec<(u32, f64)>,
+    /// Every entry's steps in step order, as indices into `steps`: entry
+    /// `e`'s are `entry_steps[entry_at[e]..entry_at[e + 1]]`.
+    entry_at: Vec<usize>,
+    entry_steps: Vec<u32>,
+}
+
+impl BagTable {
+    fn build(engine: &SimilarityEngine, entries: &[PreparedModel]) -> BagTable {
+        let mut alphabet: HashMap<NormInst, u32> = HashMap::new();
+        let mut hist_at = Vec::with_capacity(engine.seqs.len() + 1);
+        let mut hist = Vec::new();
+        let mut seq_len = Vec::with_capacity(engine.seqs.len());
+        let mut letters: Vec<u32> = Vec::new();
+        hist_at.push(0);
+        for seq in &engine.seqs {
+            letters.clear();
+            for inst in seq {
+                let next = u32::try_from(alphabet.len()).expect("alphabet overflow");
+                letters.push(*alphabet.entry(*inst).or_insert(next));
+            }
+            letters.sort_unstable();
+            for run in letters.chunk_by(|x, y| x == y) {
+                hist.push((run[0], u32::try_from(run.len()).expect("block too long")));
+            }
+            hist_at.push(hist.len());
+            seq_len.push(u32::try_from(seq.len()).expect("block too long"));
         }
-        if row_min > cutoff {
-            return row_min.max(envelope);
+        let total = entries.iter().map(PreparedModel::len).sum();
+        let mut distinct: HashMap<(u32, u64), u32> = HashMap::new();
+        let mut steps = Vec::new();
+        let mut entry_at = Vec::with_capacity(entries.len() + 1);
+        let mut entry_steps = Vec::with_capacity(total);
+        entry_at.push(0);
+        for model in entries {
+            for (&id, &change) in model.ids.iter().zip(&model.changes) {
+                let next = u32::try_from(steps.len()).expect("step table overflow");
+                let s = *distinct.entry((id, change.to_bits())).or_insert_with(|| {
+                    steps.push((id, change));
+                    next
+                });
+                entry_steps.push(s);
+            }
+            entry_at.push(entry_steps.len());
         }
-        std::mem::swap(&mut prev, &mut cur);
+        BagTable {
+            alphabet,
+            hist_at,
+            hist,
+            seq_len,
+            steps,
+            entry_at,
+            entry_steps,
+        }
     }
-    prev[m].max(envelope)
+
+    /// Sequence `r`'s sparse histogram, if the table covers it.
+    fn runs(&self, r: u32) -> Option<&[(u32, u32)]> {
+        let r = r as usize;
+        (r + 1 < self.hist_at.len()).then(|| &self.hist[self.hist_at[r]..self.hist_at[r + 1]])
+    }
+}
+
+/// The target side of a [`BagBound`] for one query.
+#[derive(Debug, Clone, Default)]
+struct BagTarget {
+    /// The target's distinct interned sequence ids, sorted.
+    seqs: Vec<u32>,
+    /// Dense letter histograms of `seqs`, one alphabet-wide row each. A
+    /// letter outside the repository's alphabet matches nothing there
+    /// and counts toward `lens` only.
+    rows: Vec<u32>,
+    /// Length of each of `seqs`.
+    lens: Vec<u32>,
+    /// The target's steps in step order: index into `seqs`, and change.
+    steps: Vec<(u32, f64)>,
+    /// Scratch: the bag floor from each of `seqs` to the repository
+    /// sequence being priced.
+    floors: Vec<f64>,
+}
+
+impl BagTarget {
+    /// Distinct step `s`'s term: the least cost any DTW cell of its column
+    /// can have, with the bag floor standing in for `D_IS`.
+    fn term(&mut self, table: &BagTable, s: u32) -> f64 {
+        let (r, change) = table.steps[s as usize];
+        let runs = table.runs(r).expect("a repository sequence");
+        let len = table.seq_len[r as usize];
+        let width = table.alphabet.len();
+        for (k, floor) in self.floors.iter_mut().enumerate() {
+            let row = &self.rows[k * width..(k + 1) * width];
+            let common: u32 = runs.iter().map(|&(l, c)| c.min(row[l as usize])).sum();
+            *floor = bag_floor(len.max(self.lens[k]), common);
+        }
+        self.steps.iter().fold(f64::INFINITY, |best, &(k, c)| {
+            // Written exactly as the DTW cell is: target change minus
+            // entry change.
+            best.min((self.floors[k as usize] + (c - change).abs()) / 2.0)
+        })
+    }
+}
+
+/// **Bag lower bound** on the DTW distance from one target to each entry
+/// of a repository, from the multisets ("bags") of normalized
+/// instructions ("letters") in their steps.
+///
+/// Admissible: for every step pair, `D_IS` is at least its bag floor
+/// `(max(p, q) − |bag ∩ bag|) / max(p, q)`, bitwise (see `bag_floor`). A
+/// warping path visits every entry step `s` at least once, in a cell that
+/// costs `(D_IS(t, s) + |c_t − c_s|) / 2` for some target step `t`, so the
+/// distance is at least `Σ_s min_t (floor(t, s) + |c_t − c_s|) / 2`.
+/// Each term is written exactly as the DTW cell is, so it is bitwise `≤`
+/// every cell of its column (`f64` addition and halving round
+/// monotonically).
+///
+/// Rounding: the bound sums `m` terms, each bitwise `≤` a distinct cell
+/// of the DTW's optimal path, in another order than the DTW adds them,
+/// so [`deflate`] gives it a margin. A scan skips an entry only when the
+/// bound is strictly above its cutoff.
+///
+/// The repository side — the alphabet, every interned sequence's sparse
+/// histogram, the distinct `(sequence, change)` steps and each entry's
+/// steps as indices into them — is built by [`BagBound::new`] and shared
+/// by every clone. Per query, [`BagBound::begin`] histograms the target's
+/// distinct sequences, and [`BagBound::bound`] prices an entry's steps
+/// through a memo over the distinct steps, which a per-query stamp
+/// invalidates: a query pays for the steps of the entries it asks about
+/// and for nothing else in the repository.
+#[derive(Debug, Clone)]
+pub struct BagBound {
+    table: Arc<BagTable>,
+    target: BagTarget,
+    /// Per distinct repository step: the stamp of the query that priced
+    /// it, and its term.
+    memo: Vec<(u32, f64)>,
+    /// The current query's stamp; 0 before the first query.
+    stamp: u32,
+}
+
+impl BagBound {
+    /// The bound over `entries`, models prepared by `engine`.
+    pub fn new(engine: &SimilarityEngine, entries: &[PreparedModel]) -> BagBound {
+        let table = BagTable::build(engine, entries);
+        BagBound {
+            memo: vec![(0, 0.0); table.steps.len()],
+            table: Arc::new(table),
+            target: BagTarget::default(),
+            stamp: 0,
+        }
+    }
+
+    /// Start a query for `target`, prepared by the engine the bound was
+    /// built from or a clone of it. Costs the target's steps and
+    /// instructions, whatever the repository's size.
+    pub fn begin(&mut self, engine: &SimilarityEngine, target: &PreparedModel) {
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            // Once in 2^32 queries: no slot may keep a stamp still to come.
+            self.memo.fill((0, 0.0));
+            self.stamp = 1;
+        }
+        let table = &*self.table;
+        let t = &mut self.target;
+        let width = table.alphabet.len();
+        t.seqs.clear();
+        t.seqs.extend_from_slice(&target.ids);
+        t.seqs.sort_unstable();
+        t.seqs.dedup();
+        t.rows.clear();
+        t.rows.resize(t.seqs.len() * width, 0);
+        t.lens.clear();
+        for (k, &id) in t.seqs.iter().enumerate() {
+            let row = &mut t.rows[k * width..(k + 1) * width];
+            let seq = &engine.seqs[id as usize];
+            match table.runs(id) {
+                Some(runs) => {
+                    for &(l, c) in runs {
+                        row[l as usize] = c;
+                    }
+                }
+                None => {
+                    for inst in seq {
+                        if let Some(&l) = table.alphabet.get(inst) {
+                            row[l as usize] += 1;
+                        }
+                    }
+                }
+            }
+            t.lens
+                .push(u32::try_from(seq.len()).expect("block too long"));
+        }
+        t.steps.clear();
+        for (id, &change) in target.ids.iter().zip(&target.changes) {
+            let k = t.seqs.binary_search(id).expect("a target sequence");
+            t.steps.push((k as u32, change));
+        }
+        t.floors.resize(t.seqs.len(), 0.0);
+    }
+
+    /// The bound on the current target's distance to entry `entry` (an
+    /// index into the models the bound was built from): bitwise `≤`
+    /// `engine.distance(target, entry)`. Exact for an empty model, like
+    /// the DTW's conventions.
+    pub fn bound(&mut self, entry: usize) -> f64 {
+        debug_assert!(self.stamp != 0, "BagBound::begin precedes bound");
+        let table = &*self.table;
+        let steps = &table.entry_steps[table.entry_at[entry]..table.entry_at[entry + 1]];
+        let (n, m) = (self.target.steps.len(), steps.len());
+        if n == 0 || m == 0 {
+            return if n == 0 && m == 0 {
+                0.0
+            } else {
+                (n + m) as f64
+            };
+        }
+        let mut sum = 0.0f64;
+        for &s in steps {
+            let slot = &mut self.memo[s as usize];
+            if slot.0 != self.stamp {
+                *slot = (self.stamp, self.target.term(table, s));
+            }
+            sum += slot.1;
+        }
+        deflate(sum, n + m)
+    }
 }
 
 #[cfg(test)]
@@ -902,10 +1042,13 @@ mod tests {
         assert_eq!(engine.distance(&pe, &pe), 0.0);
         assert_eq!(engine.distance(&pe, &p1), 1.0);
         assert_eq!(engine.distance(&p1, &pe), 1.0);
-        assert_eq!(lb_length(&pe, &p1), 1.0);
         assert_eq!(lb_interval(&pe, &p1), 1.0);
         assert_eq!(lb_interval(&pe, &pe), 0.0);
-        assert_eq!(lb_csp(&pe, &pe, f64::INFINITY), 0.0);
+        let mut bags = BagBound::new(&engine, &[pe.clone(), p1.clone()]);
+        bags.begin(&engine, &p1);
+        assert_eq!((bags.bound(0), bags.bound(1)), (1.0, 0.0));
+        bags.begin(&engine, &pe);
+        assert_eq!((bags.bound(0), bags.bound(1)), (0.0, 1.0));
     }
 
     #[test]
@@ -950,13 +1093,74 @@ mod tests {
         let (pa, pb) = (engine.prepare(&a), engine.prepare(&b));
         let d = engine.distance(&pa, &pb);
         assert!(lb_interval(&pa, &pb) <= d);
-        assert!(lb_interval(&pa, &pb) <= lb_length(&pa, &pb).max(lb_csp_envelope(&pa, &pb)));
-        assert!(lb_length(&pa, &pb) <= d);
-        assert!(lb_csp(&pa, &pb, f64::INFINITY) <= d);
-        assert!(
-            lb_csp(&pa, &pb, 0.0) <= d,
-            "abandoned bound must stay admissible"
-        );
+        let mut bags = BagBound::new(&engine, std::slice::from_ref(&pb));
+        bags.begin(&engine, &pa);
+        let bag = bags.bound(0);
+        assert!(bag > 0.0 && bag <= d, "bag bound {bag}, distance {d}");
+        // A second query re-prices every step instead of reading the
+        // first query's memo.
+        bags.begin(&engine, &pb);
+        assert_eq!(bags.bound(0), 0.0);
+        bags.begin(&engine, &pa);
+        assert_eq!(bags.bound(0).to_bits(), bag.to_bits());
+    }
+
+    /// The bag floor of `D_IS` between two sequences, from a multiset
+    /// intersection computed without histograms.
+    fn bag_dis(a: &[NormInst], b: &[NormInst]) -> f64 {
+        let mut rest = b.to_vec();
+        let mut common = 0;
+        for inst in a {
+            if let Some(at) = rest.iter().position(|x| x == inst) {
+                rest.swap_remove(at);
+                common += 1;
+            }
+        }
+        bag_floor(a.len().max(b.len()) as u32, common)
+    }
+
+    #[test]
+    fn bag_floor_never_exceeds_the_normalized_levenshtein() {
+        let letters = [ld(), flush(), nop(), NormInst::nullary("halt")];
+        let seq = |rng: &mut sca_isa::rng::SmallRng| -> Vec<NormInst> {
+            (0..rng.gen_range(0..12usize))
+                .map(|_| letters[rng.gen_range(0..letters.len())])
+                .collect()
+        };
+        let mut rng = sca_isa::rng::SmallRng::seed_from_u64(0xba6_f100);
+        for case in 0..512 {
+            let (a, b) = (seq(&mut rng), seq(&mut rng));
+            let max = a.len().max(b.len());
+            let lev = if max == 0 {
+                0.0
+            } else {
+                levenshtein(&a, &b) as f64 / max as f64
+            };
+            let bag = bag_dis(&a, &b);
+            assert!(bag <= lev, "case {case}: bag {bag} > lev {lev}");
+        }
+    }
+
+    #[test]
+    fn bag_floor_ignores_order_and_unknown_letters() {
+        // A permutation costs Levenshtein edits but no bag floor.
+        assert_eq!(bag_dis(&[ld(), flush()], &[flush(), ld()]), 0.0);
+        assert_eq!(bag_dis(&[ld(), ld()], &[ld(), flush(), nop()]), 2.0 / 3.0);
+        assert_eq!(bag_dis(&[], &[]), 0.0);
+        // A target letter the repository never uses matches nothing but
+        // still lengthens the target's block.
+        let entry = model(&[(&[ld(), flush()], 0.2)]);
+        let mut engine = SimilarityEngine::new();
+        let pe = engine.prepare(&entry);
+        let mut bags = BagBound::new(&engine, std::slice::from_ref(&pe));
+        let target = model(&[(&[ld(), nop(), nop(), nop()], 0.2)]);
+        let pt = engine.prepare(&target);
+        bags.begin(&engine, &pt);
+        let d = engine.distance(&pt, &pe);
+        // D_IS = 3/4 (three edits), bag floor = (4 - 1)/4: tight here.
+        assert_eq!(d, 0.375);
+        let bag = bags.bound(0);
+        assert!(bag <= d && bag > 0.374, "bag bound {bag}");
     }
 
     #[test]
@@ -1002,7 +1206,7 @@ mod tests {
         let pe = engine.prepare(&entry);
         let mut pd = PrefixDtw::new(&pe);
         for k in 0..=target.len() {
-            let prefix: CstBbs = target.steps()[..k].to_vec().into_iter().collect();
+            let prefix: CstBbs = target.steps()[..k].iter().cloned().collect();
             let pp = engine.prepare(&prefix);
             let resumed = pd.distance_to(&mut engine, &pp);
             // Bitwise identity in both argument orders (the DP is

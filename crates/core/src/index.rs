@@ -1,11 +1,11 @@
-//! A persisted metric index over the model repository, for sublinear
-//! repository scans.
+//! A persisted metric index over the model repository: the visit order
+//! and the early stop of a repository scan.
 //!
-//! The engine's lower-bound cascade (DESIGN.md §10) prunes DTW *cells*
-//! per entry, but a classify still visits every repository entry. With
-//! thousands of enrolled variants that linear walk — and the `O(n log m)`
-//! per-entry bounds it evaluates — dominates. [`RepoIndex`] restores a
-//! near-constant number of full DTW runs per query:
+//! Without an index a scan visits every entry in repository order, and
+//! each visit pays at least the envelope check and, once a best distance
+//! is known, the bag bound (DESIGN.md §10). For a target that is close to
+//! some entry, [`RepoIndex`] lets the scan find that entry first and stop
+//! before visiting the rest:
 //!
 //! * **Pivots**: a handful of basic-block instruction sequences chosen by
 //!   a deterministic greedy k-center sweep over the repository's distinct
@@ -19,12 +19,9 @@
 //!   scan visits entries cheapest-first and *stops* at the first key above
 //!   the best distance found so far — every later key is at least as
 //!   large, so the remaining entries are rejected wholesale.
-//! * **Per-entry pruning** ([`QueryContext::nn_bound`]): a sharper
-//!   nearest-neighbor form of the same triangle bound, evaluated only for
-//!   entries that survive the cheaper cascade stages, just before DTW.
 //!
-//! All pivot-derived bounds are pruning-only: they decide what work the
-//! scan *skips*, never what it *reports*, so detections are byte-identical
+//! The pivot bounds are pruning-only: they decide what work the scan
+//! *skips*, never what it *reports*, so detections are byte-identical
 //! with and without an index (asserted in tests and in the bench before
 //! timing). The index is built at enroll time, persisted beside the repo
 //! (`persist::save_index`), and validated against the repository by
@@ -37,6 +34,7 @@ use sca_isa::NormInst;
 
 use crate::cst::CstBbs;
 use crate::detector::ModelRepository;
+use crate::engine::deflate;
 use crate::similarity::levenshtein;
 
 /// Tuning knobs for [`RepoIndex::build`].
@@ -93,6 +91,9 @@ pub struct RepoIndex {
     intervals: Vec<(u32, u32)>,
     /// Flat copy of each entry's `max_len`, same motivation.
     max_lens: Vec<u32>,
+    /// Each entry's step count (the length of any of its pivot distance
+    /// lists; 0 without pivots), for the rounding margin.
+    step_counts: Vec<usize>,
 }
 
 /// The identity an index is bound to: FNV-1a of the repository's text.
@@ -192,8 +193,10 @@ impl RepoIndex {
     ) -> RepoIndex {
         let mut intervals = Vec::with_capacity(entries.len() * pivots.len());
         let mut max_lens = Vec::with_capacity(entries.len());
+        let mut step_counts = Vec::with_capacity(entries.len());
         for e in &entries {
             max_lens.push(e.max_len);
+            step_counts.push(e.levs.first().map_or(0, Vec::len));
             for levs in &e.levs {
                 match (levs.first(), levs.last()) {
                     (Some(&lo), Some(&hi)) => intervals.push((lo, hi)),
@@ -207,6 +210,7 @@ impl RepoIndex {
             entries,
             intervals,
             max_lens,
+            step_counts,
         }
     }
 
@@ -237,7 +241,6 @@ impl RepoIndex {
         let steps = target.steps();
         let mut memo: HashMap<&[NormInst], Vec<u32>> = HashMap::new();
         let mut per_step: Vec<Vec<u32>> = vec![Vec::with_capacity(steps.len()); self.pivots.len()];
-        let mut lens = Vec::with_capacity(steps.len());
         let mut max_len = 0u32;
         for step in steps {
             let seq: &[NormInst] = &step.norm_insts;
@@ -247,15 +250,12 @@ impl RepoIndex {
             for (p, lev) in levs.iter().enumerate() {
                 per_step[p].push(*lev);
             }
-            let l = u32::try_from(seq.len()).expect("block too long");
-            lens.push(l);
-            max_len = max_len.max(l);
+            max_len = max_len.max(u32::try_from(seq.len()).expect("block too long"));
         }
         let mut sorted = Vec::with_capacity(per_step.len());
         let mut pre = Vec::with_capacity(per_step.len());
         let mut luts = Vec::with_capacity(per_step.len());
-        for levs in &per_step {
-            let mut s = levs.clone();
+        for mut s in per_step {
             s.sort_unstable();
             let mut acc = Vec::with_capacity(s.len() + 1);
             let mut sum = 0u64;
@@ -270,11 +270,9 @@ impl RepoIndex {
         }
         QueryContext {
             index: self,
-            per_step,
             sorted,
             pre,
             luts,
-            lens,
             max_len,
         }
     }
@@ -374,9 +372,8 @@ fn lev_u32(a: &[NormInst], b: &[NormInst]) -> u32 {
 #[derive(Debug)]
 pub struct QueryContext<'a> {
     index: &'a RepoIndex,
-    /// Per pivot, the target's per-step Levenshtein distances (step order).
-    per_step: Vec<Vec<u32>>,
-    /// `per_step`, sorted ascending per pivot.
+    /// Per pivot, the target's per-step Levenshtein distances, sorted
+    /// ascending.
     sorted: Vec<Vec<u32>>,
     /// `u64` prefix sums over `sorted` (index `i` = sum of the `i`
     /// smallest values) — exact integer arithmetic, no float drift.
@@ -385,14 +382,12 @@ pub struct QueryContext<'a> {
     /// two binary searches per [`QueryContext::interval_bound`] call
     /// with two array loads (`None` falls back to the searches).
     luts: Vec<Option<PivotLut>>,
-    /// The target's per-step sequence lengths (step order).
-    lens: Vec<u32>,
     /// The target's longest step sequence.
     max_len: u32,
 }
 
 impl QueryContext<'_> {
-    /// The cheap pivot bound used as the scan's sort-key component,
+    /// The pivot bound used as the scan's sort-key component,
     /// `O(P log n)`: for each pivot, every target step's gap to the
     /// entry's *interval* of stored pivot distances, summed via prefix
     /// sums and normalized by the largest step length either model could
@@ -404,7 +399,10 @@ impl QueryContext<'_> {
     /// |lev(i, p) − lev(j, p)| ≥` the gap of `lev(i, p)` to the entry's
     /// `[min, max]` pivot-distance interval. Enlarging the denominator to
     /// `2·max(target max_len, entry max_len)` (≥ any `max(l_i, l_j)`)
-    /// keeps the closed-form sum below the per-step sum it relaxes.
+    /// keeps the closed-form sum below the per-step sum it relaxes. The
+    /// sums are exact integers and the quotient is rounded once, so the
+    /// DTW's rounding margin (as for the engine's bounds) keeps the value
+    /// bitwise `≤` the DTW distance.
     pub fn interval_bound(&self, entry: usize) -> f64 {
         let ix = self.index;
         let denom_len = self.max_len.max(ix.max_lens[entry]);
@@ -441,48 +439,8 @@ impl QueryContext<'_> {
             let right = (pre[n] - sum_b) - u64::from(hi) * (n - b) as u64;
             best = best.max((left + right) as f64 / denom);
         }
-        best
-    }
-
-    /// The sharper nearest-neighbor pivot bound, `O(n·P log m)`: per
-    /// target step, each pivot's gap to the *nearest* stored entry
-    /// distance (binary search), the best pivot per step, normalized by
-    /// `2·max(l_i, entry max_len)` and summed. Evaluated only for entries
-    /// the cheaper cascade stages failed to disqualify, as the last gate
-    /// before DTW.
-    ///
-    /// Admissible like [`QueryContext::interval_bound`]: whatever entry
-    /// step `j` a visit matches, `lev(j, p)` is *one of* the stored
-    /// distances, so the nearest-neighbor gap cannot exceed
-    /// `|lev(i, p) − lev(j, p)| ≤ lev(i, j)`; that holds per pivot, hence
-    /// for the per-step maximum over pivots, and `l_j ≤` entry `max_len`
-    /// bounds the denominator.
-    pub fn nn_bound(&self, entry: usize) -> f64 {
-        let e = &self.index.entries[entry];
-        let mut sum = 0.0f64;
-        for (i, &l) in self.lens.iter().enumerate() {
-            let mut gap = 0u32;
-            for (p, elevs) in e.levs.iter().enumerate() {
-                if elevs.is_empty() {
-                    continue;
-                }
-                let t = self.per_step[p][i];
-                let at = elevs.partition_point(|&x| x < t);
-                let mut g = u32::MAX;
-                if at > 0 {
-                    g = g.min(t - elevs[at - 1]);
-                }
-                if at < elevs.len() {
-                    g = g.min(elevs[at] - t);
-                }
-                gap = gap.max(g);
-            }
-            let denom = l.max(e.max_len);
-            if denom > 0 && gap > 0 {
-                sum += f64::from(gap) / (2.0 * f64::from(denom));
-            }
-        }
-        sum
+        let steps = self.sorted.first().map_or(0, Vec::len) + ix.step_counts[entry];
+        deflate(best, steps)
     }
 }
 
@@ -563,6 +521,5 @@ mod tests {
         let target = model(&[&["ld", "clflush"], &["ld"]]);
         let q = ix.query(&target);
         assert_eq!(q.interval_bound(0), 0.0);
-        assert_eq!(q.nn_bound(0), 0.0);
     }
 }

@@ -1,19 +1,20 @@
-//! Property tests for the repository metric index: every bound in the
-//! pruning cascade is admissible (never exceeds the exact DTW distance),
-//! and an index-pruned scan renders detections byte-identical to the
-//! plain linear scan — serially and with `--jobs`-style worker pools.
-//! Randomized inputs come from seeded [`SmallRng`] loops so runs are
-//! deterministic.
+//! Property tests for the repository metric index: every bound a scan
+//! consults is admissible (never exceeds the exact DTW distance), an
+//! index-pruned scan renders detections byte-identical to the plain
+//! linear scan — serially and with `--jobs`-style worker pools — and an
+//! exact tie goes to the later entry whichever bounds ran. Randomized
+//! inputs come from seeded [`SmallRng`] loops so runs are deterministic.
 
 use sca_attacks::AttackFamily;
 use sca_cache::CacheState;
 use sca_isa::rng::SmallRng;
 use sca_isa::NormInst;
-use scaguard::engine::lb_interval;
+use scaguard::engine::{lb_interval, BagBound};
 use scaguard::persist::{index_from_str, index_to_string};
+use scaguard::similarity::model_distance;
 use scaguard::{
     detection_json, Cst, CstBbs, CstStep, Detection, Detector, IndexConfig, ModelRepository,
-    RepoIndex, ScanRequest, SimilarityEngine,
+    PreparedModel, RepoIndex, ScanRequest, SimilarityEngine,
 };
 
 const CASES: usize = 64;
@@ -73,24 +74,31 @@ fn seed(tag: u64) -> u64 {
     0x1dec_5000 ^ tag
 }
 
-/// Every bound the indexed scan consults — the index-free interval
-/// envelope and both pivot bounds — is a true lower bound on the exact
-/// DTW distance, on randomized model pairs. An inadmissible bound would
-/// let the scan skip the true best match.
+/// Every bound a scan consults — the interval envelope, the pivot sort
+/// key and the bag bound — is a true lower bound on the exact DTW
+/// distance, on randomized model pairs; the bag bound with no slack at
+/// all. An inadmissible bound would let the scan skip the true best
+/// match.
 #[test]
-fn cascade_bounds_never_exceed_the_exact_distance() {
+fn scan_bounds_never_exceed_the_exact_distance() {
     let mut rng = SmallRng::seed_from_u64(seed(1));
-    let mut engine = SimilarityEngine::new();
     for case in 0..CASES {
         let repo = arb_repo(&mut rng, 1 + case % 8);
         let index = RepoIndex::build(&repo, &IndexConfig::default());
         let target = arb_model(&mut rng);
         let query = index.query(&target);
+        let mut engine = SimilarityEngine::new();
+        let prepared: Vec<PreparedModel> = repo
+            .entries()
+            .iter()
+            .map(|e| engine.prepare(&e.model))
+            .collect();
+        let mut bags = BagBound::new(&engine, &prepared);
         let pt = engine.prepare(&target);
-        for (i, entry) in repo.entries().iter().enumerate() {
-            let pe = engine.prepare(&entry.model);
-            let exact = engine.distance(&pt, &pe);
-            let env = lb_interval(&pt, &pe);
+        bags.begin(&engine, &pt);
+        for (i, pe) in prepared.iter().enumerate() {
+            let exact = engine.distance(&pt, pe);
+            let env = lb_interval(&pt, pe);
             assert!(
                 env <= exact + 1e-9,
                 "case {case} entry {i}: lb_interval {env} > exact {exact}"
@@ -100,11 +108,73 @@ fn cascade_bounds_never_exceed_the_exact_distance() {
                 iv <= exact + 1e-9,
                 "case {case} entry {i}: interval_bound {iv} > exact {exact}"
             );
-            let nn = query.nn_bound(i);
+            let bag = bags.bound(i);
             assert!(
-                nn <= exact + 1e-9,
-                "case {case} entry {i}: nn_bound {nn} > exact {exact}"
+                bag <= exact,
+                "case {case} entry {i}: bag bound {bag} > exact {exact}"
             );
+        }
+    }
+}
+
+/// An exact tie at a nonzero distance: an entry enrolled twice, close to
+/// the target, scanned unseeded and seeded with the tie distance itself
+/// (as either copy), linear and indexed, serially and over workers. The
+/// later copy wins every time, so no bound may skip an entry whose
+/// distance equals the cutoff.
+#[test]
+fn an_exact_tie_goes_to_the_later_copy() {
+    let mut rng = SmallRng::seed_from_u64(seed(4));
+    for case in 0..CASES / 4 {
+        let target = CstBbs::new((0..1 + case % 6).map(|_| arb_step(&mut rng)).collect());
+        // The target with every block's cache transition replaced: the
+        // same blocks, a small nonzero distance.
+        let near: CstBbs = target
+            .steps()
+            .iter()
+            .map(|s| CstStep {
+                cst: Cst {
+                    before: CacheState::full_other(),
+                    after: CacheState::new(0.49, 0.49),
+                },
+                ..s.clone()
+            })
+            .collect();
+        let mut repo = arb_repo(&mut rng, 3);
+        repo.add_model(AttackFamily::FlushReload, "near", near.clone());
+        repo.add_model(AttackFamily::PrimeProbe, "other", arb_model(&mut rng));
+        repo.add_model(AttackFamily::FlushReload, "near-copy", near.clone());
+        let (first, later) = (3, 5);
+        let tie = model_distance(&target, &near);
+        assert!(
+            tie > 0.0,
+            "case {case}: the tie must be at a nonzero distance"
+        );
+        let linear = Detector::new(repo.clone(), 0.45).expect("threshold");
+        let full = linear.classify_model_full(&target);
+        assert!(
+            full.iter().all(|e| e.score <= full[later].score),
+            "case {case}: the copies must be the closest entries"
+        );
+        let mut indexed = Detector::new(repo.clone(), 0.45).expect("threshold");
+        indexed
+            .set_index(RepoIndex::build(&repo, &IndexConfig::default()))
+            .expect("fresh index matches");
+        for (label, detector) in [("linear", &linear), ("indexed", &indexed)] {
+            for seed in [None, Some((first, tie)), Some((later, tie))] {
+                for jobs in [1, 3] {
+                    let req = ScanRequest {
+                        seed,
+                        jobs,
+                        ..ScanRequest::default()
+                    };
+                    let best = detector.scan(&target, &req).expect("no deadline");
+                    let best = best.best_entry().expect("a winner");
+                    let at = format!("case {case} {label} seed {seed:?} jobs {jobs}");
+                    assert_eq!(best.index, later, "{at}");
+                    assert_eq!(best.score.to_bits(), full[later].score.to_bits(), "{at}");
+                }
+            }
         }
     }
 }

@@ -6,17 +6,22 @@
 use sca_cache::CacheState;
 use sca_isa::rng::SmallRng;
 use sca_isa::NormInst;
-use scaguard::engine::{lb_csp, lb_length};
+use scaguard::engine::{lb_interval, BagBound};
 use scaguard::similarity::{csp_distance, instruction_distance};
 use scaguard::{
-    cst_distance, dtw, levenshtein, similarity_score, Bounded, Cst, CstBbs, CstStep,
+    cst_distance, dtw, levenshtein, similarity_score, Bounded, Cst, CstBbs, CstStep, PreparedModel,
     SimilarityEngine,
 };
 
 const CASES: usize = 128;
 
 fn arb_norm_inst(rng: &mut SmallRng) -> NormInst {
-    match rng.gen_range(0..7u32) {
+    letter(rng.gen_range(0..7u32))
+}
+
+/// One of seven normalized instructions, by number.
+fn letter(k: u32) -> NormInst {
+    match k {
         0 => NormInst::binary("mov", sca_isa::NormOperand::Reg, sca_isa::NormOperand::Imm),
         1 => NormInst::binary("ld", sca_isa::NormOperand::Reg, sca_isa::NormOperand::Mem),
         2 => NormInst::binary("st", sca_isa::NormOperand::Mem, sca_isa::NormOperand::Reg),
@@ -59,7 +64,7 @@ fn arb_model(rng: &mut SmallRng) -> CstBbs {
 /// inequality, and the standard bounds.
 #[test]
 fn levenshtein_is_a_metric() {
-    let mut rng = SmallRng::seed_from_u64(0xc02e_001);
+    let mut rng = SmallRng::seed_from_u64(0xc02_e001);
     let seq = |rng: &mut SmallRng| -> Vec<u8> {
         (0..rng.gen_range(0..20usize))
             .map(|_| rng.gen_range(0u8..5))
@@ -83,7 +88,7 @@ fn levenshtein_is_a_metric() {
 /// and are symmetric with zero self-distance.
 #[test]
 fn step_distances_are_bounded_symmetric() {
-    let mut rng = SmallRng::seed_from_u64(0xc02e_002);
+    let mut rng = SmallRng::seed_from_u64(0xc02_e002);
     for _ in 0..CASES {
         let x = arb_step(&mut rng);
         let y = arb_step(&mut rng);
@@ -103,7 +108,7 @@ fn step_distances_are_bounded_symmetric() {
 /// non-negative, and bounded by the all-pairs worst case.
 #[test]
 fn dtw_properties() {
-    let mut rng = SmallRng::seed_from_u64(0xc02e_003);
+    let mut rng = SmallRng::seed_from_u64(0xc02_e003);
     for _ in 0..CASES {
         let a = arb_model(&mut rng);
         let b = arb_model(&mut rng);
@@ -121,7 +126,7 @@ fn dtw_properties() {
 /// symmetric.
 #[test]
 fn similarity_score_properties() {
-    let mut rng = SmallRng::seed_from_u64(0xc02e_004);
+    let mut rng = SmallRng::seed_from_u64(0xc02_e004);
     for _ in 0..CASES {
         let a = arb_model(&mut rng);
         let b = arb_model(&mut rng);
@@ -138,7 +143,7 @@ fn similarity_score_properties() {
 /// stays exact across many unrelated model pairs.
 #[test]
 fn engine_matches_naive_bitwise() {
-    let mut rng = SmallRng::seed_from_u64(0xc02e_006);
+    let mut rng = SmallRng::seed_from_u64(0xc02_e006);
     let mut engine = SimilarityEngine::new();
     for case in 0..CASES {
         // Sweep empty and singleton models into the mix deterministically.
@@ -167,7 +172,7 @@ fn engine_matches_naive_bitwise() {
 /// exceeds the true distance; the cheap lower bounds stay admissible.
 #[test]
 fn bounded_distance_and_lower_bounds_are_sound() {
-    let mut rng = SmallRng::seed_from_u64(0xc02e_007);
+    let mut rng = SmallRng::seed_from_u64(0xc02_e007);
     let mut engine = SimilarityEngine::new();
     for case in 0..CASES {
         let a = arb_model(&mut rng);
@@ -189,10 +194,69 @@ fn bounded_distance_and_lower_bounds_are_sound() {
             engine.distance_bounded(&pa, &pb, naive),
             Bounded::Exact(naive)
         );
-        assert!(lb_length(&pa, &pb) <= naive);
-        for cutoff in [0.0, naive, f64::INFINITY] {
-            assert!(lb_csp(&pa, &pb, cutoff) <= naive);
+        assert!(lb_interval(&pa, &pb) <= naive);
+        let mut bags = BagBound::new(&engine, std::slice::from_ref(&pb));
+        bags.begin(&engine, &pa);
+        assert!(bags.bound(0) <= naive);
+    }
+}
+
+/// A random model over the letters `lo..hi` only, with empty blocks and
+/// empty models in the mix.
+fn model_over(rng: &mut SmallRng, lo: u32, hi: u32) -> CstBbs {
+    let steps = (0..rng.gen_range(0..10usize))
+        .map(|_| {
+            let mut step = arb_step(rng);
+            for inst in &mut step.norm_insts {
+                *inst = letter(rng.gen_range(lo..hi));
+            }
+            step
+        })
+        .collect();
+    CstBbs::new(steps)
+}
+
+/// The bag bound never exceeds the exact DTW distance, with no slack, on
+/// seeded random repositories and targets: empty models and blocks, a
+/// target identical to an entry, a target whose letters the repository
+/// never uses, and a target that shares part of the alphabet.
+#[test]
+fn bag_bound_is_admissible_without_slack() {
+    let mut rng = SmallRng::seed_from_u64(0xc02_e00b);
+    for case in 0..CASES {
+        // Letter windows: shared, disjoint, overlapping.
+        let ((rlo, rhi), (tlo, thi)) = match case % 3 {
+            0 => ((0, 7), (0, 7)),
+            1 => ((0, 3), (3, 7)),
+            _ => ((0, 5), (2, 7)),
+        };
+        let mut entries: Vec<CstBbs> = (0..1 + case % 6)
+            .map(|_| model_over(&mut rng, rlo, rhi))
+            .collect();
+        entries.push(CstBbs::default());
+        let mut engine = SimilarityEngine::new();
+        let prepared: Vec<PreparedModel> = entries.iter().map(|m| engine.prepare(m)).collect();
+        let mut bags = BagBound::new(&engine, &prepared);
+        let targets = [
+            model_over(&mut rng, tlo, thi),
+            model_over(&mut rng, tlo, thi),
+            CstBbs::default(),
+            entries[0].clone(),
+        ];
+        for (t, target) in targets.iter().enumerate() {
+            let pt = engine.prepare(target);
+            bags.begin(&engine, &pt);
+            for (i, pe) in prepared.iter().enumerate() {
+                let exact = engine.distance(&pt, pe);
+                let bound = bags.bound(i);
+                assert!(
+                    bound <= exact,
+                    "case {case} target {t} entry {i}: bound {bound} > exact {exact}"
+                );
+            }
         }
+        // A target identical to an entry prices every step at 0.
+        assert_eq!(bags.bound(0), 0.0, "case {case}");
     }
 }
 
@@ -200,7 +264,7 @@ fn bounded_distance_and_lower_bounds_are_sound() {
 /// DTW distance beyond the original (warping absorbs shared structure).
 #[test]
 fn shared_prefix_does_not_hurt() {
-    let mut rng = SmallRng::seed_from_u64(0xc02e_005);
+    let mut rng = SmallRng::seed_from_u64(0xc02_e005);
     for _ in 0..CASES {
         let prefix = arb_steps(&mut rng, 1, 4);
         let a = arb_steps(&mut rng, 1, 6);

@@ -95,7 +95,7 @@ fn bounded_cpu() -> CpuConfig {
 /// Global event totals equal the sum of the per-address attributions.
 #[test]
 fn totals_equal_per_address_sums() {
-    let mut rng = SmallRng::seed_from_u64(0xc_b0_001);
+    let mut rng = SmallRng::seed_from_u64(0xcb_0001);
     for _ in 0..64 {
         let p = materialize(arb_skeleton(&mut rng));
         let t = Machine::new(bounded_cpu())
@@ -112,7 +112,7 @@ fn totals_equal_per_address_sums() {
 /// cycles dominate committed steps.
 #[test]
 fn trace_keys_are_program_addresses() {
-    let mut rng = SmallRng::seed_from_u64(0xc_b0_002);
+    let mut rng = SmallRng::seed_from_u64(0xcb_0002);
     for _ in 0..64 {
         let p = materialize(arb_skeleton(&mut rng));
         let t = Machine::new(bounded_cpu())
@@ -132,7 +132,7 @@ fn trace_keys_are_program_addresses() {
 /// Execution is a pure function of (program, victim, config).
 #[test]
 fn runs_are_deterministic() {
-    let mut rng = SmallRng::seed_from_u64(0xc_b0_003);
+    let mut rng = SmallRng::seed_from_u64(0xcb_0003);
     for _ in 0..64 {
         let p = materialize(arb_skeleton(&mut rng));
         let run = || {
@@ -153,7 +153,7 @@ fn runs_are_deterministic() {
 /// lines, like the modeling pipeline expects).
 #[test]
 fn traced_accesses_are_line_aligned() {
-    let mut rng = SmallRng::seed_from_u64(0xc_b0_004);
+    let mut rng = SmallRng::seed_from_u64(0xcb_0004);
     for _ in 0..64 {
         let p = materialize(arb_skeleton(&mut rng));
         let t = Machine::new(bounded_cpu())

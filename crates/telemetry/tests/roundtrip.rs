@@ -58,7 +58,7 @@ fn attr(rng: &mut Rng) -> AttrValue {
         // integer attr on the way back.
         2 => AttrValue::Float(rng.small() as f64 + 0.5),
         3 => AttrValue::Str((*rng.pick(NASTY)).to_string()),
-        _ => AttrValue::Bool(rng.next() % 2 == 0),
+        _ => AttrValue::Bool(rng.next().is_multiple_of(2)),
     }
 }
 
@@ -68,7 +68,7 @@ fn random_span(rng: &mut Rng, id: u64) -> SpanRecord {
         .collect();
     SpanRecord {
         id,
-        parent: if rng.next() % 2 == 0 {
+        parent: if rng.next().is_multiple_of(2) {
             None
         } else {
             Some(id + 1)

@@ -38,8 +38,9 @@ cargo build --workspace --release --offline
 echo "==> cargo test --workspace --offline --no-fail-fast"
 cargo test --workspace -q --offline --no-fail-fast || FAILED="$FAILED workspace-tests"
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace --offline -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+# --all-targets lints the tests, benches and examples too.
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "==> scabench smoke"
 # The benchmark at tiny counts with its correctness gate: on every

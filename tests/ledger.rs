@@ -27,12 +27,12 @@ const LEDGER_SEED: u64 = 0x1ed6_e201;
 /// programs): name, stdout bytes, `index.full_dtw_runs`,
 /// `index.entries_skipped`, `dtw.cells`, `simcache.misses`.
 const PINNED: [(&str, usize, u64, u64, u64, u64); 6] = [
-    ("ledger-0", 123, 2, 0, 1244, 457),
-    ("ledger-1", 122, 1, 1, 1372, 394),
-    ("ledger-2", 128, 3, 1, 1402, 493),
-    ("ledger-3", 133, 1, 0, 1584, 474),
-    ("ledger-4", 128, 12, 0, 760, 255),
-    ("ledger-5", 129, 12, 0, 1140, 378),
+    ("ledger-0", 123, 2, 9, 348, 212),
+    ("ledger-1", 122, 1, 11, 256, 132),
+    ("ledger-2", 128, 1, 9, 388, 197),
+    ("ledger-3", 133, 1, 10, 460, 201),
+    ("ledger-4", 128, 4, 8, 200, 119),
+    ("ledger-5", 129, 5, 7, 396, 174),
 ];
 
 fn scaguard(args: &[&str]) -> std::process::Output {
