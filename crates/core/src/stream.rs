@@ -223,10 +223,12 @@ const POOL_LIMIT: usize = 1 << 16;
 
 /// An online detection session: a [`StreamingModeler`] feeding per-prefix
 /// models into seeded repository scans, with a latched early-alarm policy
-/// (module docs).
+/// (module docs). The session shares ownership of its detector, so it can
+/// outlive the scope that opened it (a server keeps open sessions in a
+/// per-connection registry).
 #[derive(Debug)]
-pub struct StreamSession<'a> {
-    detector: &'a Detector,
+pub struct StreamSession {
+    detector: Arc<Detector>,
     modeler: StreamingModeler,
     threshold: f64,
     sustain: u32,
@@ -244,7 +246,7 @@ pub struct StreamSession<'a> {
     alarm: Option<Alarm>,
 }
 
-impl<'a> StreamSession<'a> {
+impl StreamSession {
     /// Open a session for `program` against `victim`, scored against
     /// `detector`'s repository.
     ///
@@ -255,12 +257,12 @@ impl<'a> StreamSession<'a> {
     /// [`StreamSession::validate_threshold`]; `begin` only debug-asserts
     /// it.
     pub fn begin(
-        detector: &'a Detector,
+        detector: Arc<Detector>,
         program: &Program,
         victim: &Victim,
         modeling: &ModelingConfig,
         cfg: &StreamConfig,
-    ) -> Result<StreamSession<'a>, ModelError> {
+    ) -> Result<StreamSession, ModelError> {
         debug_assert!(Self::validate_threshold(cfg).is_ok());
         let modeler = StreamingModeler::begin(program, victim, modeling)?;
         Ok(StreamSession {
@@ -441,14 +443,14 @@ mod tests {
         cfg
     }
 
-    fn enrolled(cfg: &ModelingConfig) -> Detector {
+    fn enrolled(cfg: &ModelingConfig) -> Arc<Detector> {
         let mut repo = ModelRepository::new();
         for family in AttackFamily::ALL {
             let poc = poc::representative(family, &PocParams::default());
             repo.add_poc(family, &poc.program, &poc.victim, cfg)
                 .expect("PoC models");
         }
-        Detector::new(repo, Detector::DEFAULT_THRESHOLD).expect("threshold in range")
+        Arc::new(Detector::new(repo, Detector::DEFAULT_THRESHOLD).expect("threshold in range"))
     }
 
     #[test]
@@ -479,7 +481,7 @@ mod tests {
         let sd = enrolled(&cfg);
         let poc = poc::representative(AttackFamily::FlushReload, &PocParams::default());
         let mut session = StreamSession::begin(
-            &sd,
+            Arc::clone(&sd),
             &poc.program,
             &poc.victim,
             &cfg,
@@ -516,7 +518,7 @@ mod tests {
             .pop()
             .expect("one benign program");
         let mut session = StreamSession::begin(
-            &sd,
+            Arc::clone(&sd),
             &benign.program,
             &benign.victim,
             &cfg,
@@ -535,7 +537,7 @@ mod tests {
         let sd = enrolled(&cfg);
         let poc = poc::representative(AttackFamily::PrimeProbe, &PocParams::default());
         let mut session = StreamSession::begin(
-            &sd,
+            Arc::clone(&sd),
             &poc.program,
             &poc.victim,
             &cfg,

@@ -3,7 +3,8 @@
 //! and **every** prefix split point, the incrementally grown CST-BBS is
 //! byte-identical to a batch build cut off at the same prefix, whether
 //! the batch side is built directly, through a [`ModelBuilder`] at 1
-//! job, or through one at N jobs.
+//! job, or through one at N jobs; and over one PoC's whole trace, at the
+//! increment sizes a stream uses.
 
 use sca_attacks::mutate::{mutate, MutationConfig};
 use sca_attacks::poc::{self, PocParams};
@@ -123,6 +124,31 @@ fn incremental_model_equals_builder_at_1_and_n_jobs() {
             if committed == 0 || modeler.is_done() {
                 break;
             }
+        }
+    }
+}
+
+/// The whole, uncapped trace of the Flush+Reload PoC, streamed at
+/// several increment sizes: at every increment boundary the streamed
+/// model persists to the same bytes as the batch model of that prefix.
+#[test]
+fn incremental_model_equals_batch_over_a_whole_trace() {
+    let cfg = ModelingConfig::default();
+    let sample = poc::representative(AttackFamily::FlushReload, &PocParams::default());
+    for increment in [7u64, 64, 1024] {
+        let mut modeler =
+            StreamingModeler::begin(&sample.program, &sample.victim, &cfg).expect("nonempty");
+        while !modeler.is_done() {
+            modeler.advance(increment);
+            let steps = modeler.steps();
+            let mut batch_cfg = cfg.clone();
+            batch_cfg.cpu.max_steps = steps;
+            let batch = build_model(&sample.program, &sample.victim, &batch_cfg).expect("nonempty");
+            assert_eq!(
+                model_text(&modeler.model_cst()),
+                model_text(&batch.cst_bbs),
+                "prefix model diverges at step {steps} (increment {increment})"
+            );
         }
     }
 }

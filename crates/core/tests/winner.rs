@@ -12,6 +12,7 @@
 //! representative twice, so whenever a representative wins, the tie rule
 //! decides between its two copies.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sca_attacks::dataset::mutated_family;
@@ -198,7 +199,7 @@ fn a_streams_done_detection_is_the_exhaustive_argmin_of_its_prefix() {
     for sample in [&samples[0], &samples[AttackFamily::ALL.len()]] {
         for (name, detector) in &detectors {
             let mut session = StreamSession::begin(
-                detector,
+                Arc::new(detector.clone()),
                 &sample.program,
                 &sample.victim,
                 &cfg,

@@ -6,13 +6,16 @@
 //! ```
 //!
 //! `--scale N` uses N mutated variants per attack type and N benign
-//! programs; `--paper` is shorthand for the paper's 400/400.
+//! programs; `--paper` is shorthand for the paper's 400/400. Beyond the
+//! paper, `--robustness` prints detection under microarchitectural noise
+//! and `--streaming` the online detector's alarm latency per family and
+//! its (τ, k) alarm-policy sweep; `--all` includes both.
 
 use std::process::ExitCode;
 
 use sca_eval::experiments::{
-    bb_identification, classification, noise_robustness, scenario_similarities, threshold_sweep,
-    timing, ClassTask, TaskResult,
+    bb_identification, classification, noise_robustness, scenario_similarities, streaming_latency,
+    threshold_sweep, timing, ClassTask, TaskResult,
 };
 use sca_eval::report::{self, pct, render_table};
 use sca_eval::EvalConfig;
@@ -22,6 +25,7 @@ struct Args {
     figure5: bool,
     timing: bool,
     robustness: bool,
+    streaming: bool,
     scale: usize,
 }
 
@@ -30,6 +34,7 @@ fn parse_args() -> Result<Args, String> {
     let mut figure5 = false;
     let mut want_timing = false;
     let mut robustness = false;
+    let mut streaming = false;
     let mut scale = 40usize;
     let mut all = false;
     let mut argv = std::env::args().skip(1);
@@ -56,6 +61,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--timing" => want_timing = true,
             "--robustness" => robustness = true,
+            "--streaming" => streaming = true,
             "--scale" => {
                 scale = argv
                     .next()
@@ -67,17 +73,19 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown argument {other}")),
         }
     }
-    if all || (tables.is_empty() && !figure5 && !want_timing && !robustness) {
+    if all || (tables.is_empty() && !figure5 && !want_timing && !robustness && !streaming) {
         tables = vec![1, 2, 3, 4, 5, 6];
         figure5 = true;
         want_timing = true;
         robustness = true;
+        streaming = true;
     }
     Ok(Args {
         tables,
         figure5,
         timing: want_timing,
         robustness,
+        streaming,
         scale,
     })
 }
@@ -288,6 +296,59 @@ fn print_robustness(cfg: &EvalConfig) -> Result<(), Box<dyn std::error::Error>> 
     Ok(())
 }
 
+fn print_streaming(cfg: &EvalConfig) -> Result<(), Box<dyn std::error::Error>> {
+    let report = streaming_latency(cfg)?;
+    let families: Vec<Vec<String>> = report
+        .families
+        .iter()
+        .map(|r| {
+            vec![
+                r.family.abbrev().to_string(),
+                format!("{}/{}", r.detected, r.total),
+                format!("{:.0}", r.mean_steps_to_alarm),
+                pct(r.mean_trace_fraction),
+                format!("{:.0}", r.mean_trace_steps),
+            ]
+        })
+        .collect();
+    println!(
+        "{}",
+        render_table(
+            "Streaming (beyond the paper): alarm latency per family at the default policy",
+            &[
+                "Attack",
+                "Detected",
+                "Steps to alarm",
+                "Of trace",
+                "Trace steps"
+            ],
+            &families,
+        )
+    );
+    let sweep: Vec<Vec<String>> = report
+        .sweep
+        .iter()
+        .map(|p| {
+            vec![
+                format!("{:.2}", p.threshold),
+                p.sustain.to_string(),
+                format!("{}/{}", p.detected, p.attack_total),
+                format!("{}/{}", p.false_alarms, p.benign_total),
+                format!("{:.0}", p.mean_steps_to_alarm),
+            ]
+        })
+        .collect();
+    println!(
+        "{}",
+        render_table(
+            "Streaming (beyond the paper): the (tau, k) alarm-policy sweep",
+            &["tau", "k", "Detected", "False alarms", "Steps to alarm"],
+            &sweep,
+        )
+    );
+    Ok(())
+}
+
 fn run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let cfg = EvalConfig::small(args.scale);
     println!(
@@ -316,6 +377,9 @@ fn run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     if args.robustness {
         print_robustness(&cfg)?;
     }
+    if args.streaming {
+        print_streaming(&cfg)?;
+    }
     Ok(())
 }
 
@@ -325,7 +389,7 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("error: {e}");
             eprintln!(
-                "usage: tables [--all] [--table N]... [--figure 5] [--timing] [--robustness] [--scale N | --paper]"
+                "usage: tables [--all] [--table N]... [--figure 5] [--timing] [--robustness] [--streaming] [--scale N | --paper]"
             );
             return ExitCode::FAILURE;
         }

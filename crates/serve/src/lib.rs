@@ -22,11 +22,14 @@
 //!   owns the nonblocking listener and every accepted socket, assembles
 //!   frames from partial reads, and parks idle connections as plain
 //!   registry entries (no thread per connection — thousands of idle
-//!   watchers cost nothing); plus the fixed worker pool that hands each
-//!   classify's scan to a scan pool of per-generation detector clones,
-//!   hot repository reload (atomic `Arc` swap — each request is
-//!   answered by exactly one repository generation), and deadline
-//!   propagation into the engine's bounded-DTW hook.
+//!   watchers cost nothing); plus the fixed worker pool, which runs
+//!   every job — classify work (its scan handed to a scan pool of
+//!   per-generation detector clones), watch-stream increments and hot
+//!   repository reloads (atomic `Arc` swap — each request is answered
+//!   by exactly one repository generation) — with deadline propagation
+//!   into the engine's bounded-DTW hook. After `spawn` the server starts
+//!   no thread: it runs the reactor and two threads per worker, however
+//!   many connections, streams or reloads it serves.
 //!
 //! [`client`] is the matching blocking client, used by `scaguard
 //! submit`, the integration tests, and the `scabench` benchmark. It speaks
@@ -41,9 +44,11 @@
 //! `progress`/`alarm`/`done` events as the streaming scorer
 //! ([`scaguard::StreamSession`]) sees each committed prefix — an alarm
 //! can fire long before the trace ends, and it is never retracted.
-//! Streams run on dedicated threads outside the worker pool, are
-//! accounted in the flight recorder (one `watch` summary per stream)
-//! and the `serve.streams_active` gauge, and die with their connection.
+//! An open stream is an entry in its connection's registry and holds no
+//! thread; each push is a job on the worker pool, ordered by pausing the
+//! connection as an untagged classify is. Streams are accounted in the
+//! flight recorder (one `watch` summary per stream) and the
+//! `serve.streams_active` gauge, and die with their connection.
 //!
 //! Every response frame carries a `trace_id` (see
 //! [`protocol::trace_id`]); requests flagged with `"timings": true` on

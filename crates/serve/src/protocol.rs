@@ -53,7 +53,10 @@
 //! `stream`, and the final event of each push is marked `"last":true`
 //! so a client knows when to stop reading. Streams are per-connection:
 //! a stream id is only routable on the connection that opened it, and
-//! tearing the connection down tears its streams down with it.
+//! tearing the connection down tears its streams down with it. A push
+//! the full admission queue refuses is answered with one `overloaded`
+//! error event (naming the stream, marked `last`); the stream stays
+//! open and the push may be retried.
 
 use std::fmt;
 use std::io::{self, BufRead, Write};
@@ -64,8 +67,11 @@ use sca_telemetry::Json;
 /// Protocol version reported by `ping`. Version 2 dropped the
 /// per-entry `scores` array from detections; version 3 dropped the
 /// repository shards (`stats.shards`, `timings.shards` and the
-/// `serve.shards` / `serve.shard{i}.*` gauges).
-pub const PROTOCOL_VERSION: u64 = 3;
+/// `serve.shards` / `serve.shard{i}.*` gauges); version 4 dropped
+/// `stats.spawn_errors`, and `watch-push`, `watch-finish` and
+/// `reload-repo` can now be answered `overloaded` when the admission
+/// queue is full.
+pub const PROTOCOL_VERSION: u64 = 4;
 
 /// Base address of the shared victim region (matches the CLI).
 pub const SHARED_BASE: u64 = 0x1000_0000;

@@ -109,8 +109,8 @@ const OUTBOX_COMPACT_AT: usize = 64 * 1024;
 
 /// One connection's outbound byte buffer.
 ///
-/// Producers — workers answering pipelined or ordered requests, watch
-/// stream threads pushing events, the reactor's own inline control
+/// Producers — workers answering pipelined or ordered requests or
+/// pushing watch-stream events, the reactor's own inline control
 /// answers — append whole rendered frames; the reactor, sole owner of
 /// every socket's write half, drains it with nonblocking writes. Whole-
 /// frame pushes under one lock are what keep out-of-order completions
@@ -118,8 +118,8 @@ const OUTBOX_COMPACT_AT: usize = 64 * 1024;
 /// per-connection writer thread existed to provide.
 ///
 /// Closing the outbox (when its connection dies) turns every later push
-/// into a no-op, so a worker or stream finishing after the peer is gone
-/// writes nowhere and needs no special casing.
+/// into a no-op, so a worker finishing after the peer is gone writes
+/// nowhere; a push that refuses bytes tells a watch stream to stop.
 #[derive(Debug, Default)]
 pub struct Outbox {
     inner: Mutex<OutboxInner>,

@@ -12,15 +12,18 @@
 //! ```text
 //! reactor (one thread: nonblocking accept + reads + writes, timed sweeps)
 //!    │  control frames (ping/stats/metrics/flight/shutdown): inline
-//!    │  watch frames: routed to the stream's dedicated thread
-//!    │  reload-repo: transient thread (connection paused meanwhile)
-//!    │  work frames (classify/classify-batch/model): queue
+//!    │  watch (open a stream): inline, into the connection's registry
+//!    │  work, watch-push/-finish, reload-repo: one admission queue
 //!    ▼
-//! BoundedQueue ──> worker pool ────────┬──> reply ──> conn outbox ──> reactor
+//! BoundedQueue ──> worker pool ────────┬──> replies, stream events ──> conn outbox ──> reactor
 //!                     │ scan task      │ detection
 //!                     ▼                │
 //!          scan queue ──> scan pool (per-generation detector clones)
 //! ```
+//!
+//! A server runs the reactor plus two threads per configured worker (the
+//! worker and its scan thread), however many connections, streams or
+//! reloads are open.
 //!
 //! - **Event-driven connections**: there is no thread per connection.
 //!   One reactor thread owns the nonblocking listener and every
@@ -33,9 +36,9 @@
 //!   assembler, an empty outbox — so thousands of parked watchers cost
 //!   file descriptors, not threads or stacks.
 //! - **Write-path ownership**: the reactor is the only thing that ever
-//!   writes a socket. Workers, stream threads, and the reload thread
-//!   push whole rendered frames into the connection's outbox (one lock,
-//!   one append), which is what keeps out-of-order completions from
+//!   writes a socket. Workers push whole rendered frames — replies and
+//!   stream events alike — into the connection's outbox (one lock, one
+//!   append), which is what keeps out-of-order completions from
 //!   interleaving bytes mid-frame — the invariant the old per-
 //!   connection writer thread provided, now without the thread.
 //! - **Ordering without blocking**: untagged requests keep one-in-one-
@@ -43,7 +46,14 @@
 //!   reading and parsing it until the worker has pushed the reply —
 //!   so backpressure is TCP's, not an unbounded buffer's. Requests
 //!   tagged with an envelope `id` are pipelined exactly as before:
-//!   admitted without pausing, answered out of order.
+//!   admitted without pausing, answered out of order. Watch pushes and
+//!   finishes, tagged or not, and reloads always pause: the pause is
+//!   what keeps a stream's events in order.
+//! - **Watch streams** (DESIGN.md §17): an open stream is an entry in
+//!   its connection's registry — the session and its counters behind a
+//!   mutex — and holds no thread. A push or finish is a queued job: a
+//!   worker runs its increments, pushing each event as it happens, and
+//!   stops early once the connection is gone.
 //! - **Timeout split**: the per-connection io-timeout now distinguishes
 //!   a *stalled* peer from a *parked* one. A connection mid-frame (or
 //!   one that has never completed a frame, or one whose outbox cannot
@@ -72,10 +82,11 @@
 //!   propagated into the engine's bounded-DTW hook, so an expired
 //!   request aborts mid-scan. The deadline only ever aborts — a
 //!   detection that comes back is bitwise identical to the offline one.
-//! - **Hot reload**: `reload-repo` builds the new [`Detector`] off to
-//!   the side and swaps it in atomically (an `Arc` swap under a brief
-//!   mutex). Workers snapshot the `Arc` at admission, so every response
-//!   is computed against exactly one repository generation and in-flight
+//! - **Hot reload**: `reload-repo` is a queued job that builds the new
+//!   [`Detector`] on a worker, off to the side, and swaps it in
+//!   atomically (an `Arc` swap under a brief mutex). Work snapshots the
+//!   `Arc` at admission and a stream at its open, so every response is
+//!   computed against exactly one repository generation and in-flight
 //!   work is never drained or mixed.
 //! - **Observability**: every frame gets a server-unique trace id
 //!   (returned in the response envelope); workers bind it to the thread
@@ -91,18 +102,19 @@
 //!   uncontended mutex push — the registry entry points stay one relaxed
 //!   atomic load.
 
+use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use sca_cpu::Victim;
 use sca_telemetry::{
     request_json, span_json, AttrValue, FlightRecorder, Histogram, Json, Outcome, RequestSummary,
     SpanRecord,
@@ -111,7 +123,7 @@ use scaguard::persist::LoadRepoError;
 use scaguard::{
     detection_json, index_sidecar_path, load_index, load_repository, model_text, Alarm, CstBbs,
     DeadlineExceeded, Detection, Detector, InvalidThreshold, ModelBuilder, ModelRepository,
-    ModelingConfig, ScanRequest, StreamConfig, StreamSession, StreamUpdate, StreamingModeler,
+    ModelingConfig, ScanRequest, StreamConfig, StreamSession, StreamUpdate,
 };
 
 use crate::protocol::{
@@ -253,11 +265,12 @@ impl From<InvalidThreshold> for ServeError {
 
 /// One loaded repository: the detector plus its provenance. Immutable
 /// once published; `reload-repo` publishes a *new* `RepoState` and
-/// in-flight work keeps its admission-time snapshot.
+/// in-flight work keeps its admission-time snapshot. The detector is
+/// shared with the watch streams opened on this generation.
 struct RepoState {
     generation: u64,
     path: PathBuf,
-    detector: Detector,
+    detector: Arc<Detector>,
 }
 
 impl RepoState {
@@ -286,7 +299,6 @@ struct Counters {
     timeouts: AtomicU64,
     accept_errors: AtomicU64,
     conns_rejected: AtomicU64,
-    spawn_errors: AtomicU64,
 }
 
 /// A point-in-time copy of the server counters.
@@ -296,7 +308,8 @@ pub struct StatsSnapshot {
     pub received: u64,
     /// Work requests answered with a detection or model.
     pub completed: u64,
-    /// Work requests shed because the admission queue was full.
+    /// Requests shed because the admission queue was full: work
+    /// requests, watch pushes and finishes, and reloads.
     pub shed: u64,
     /// Work requests that ran out of deadline (before or during the scan).
     pub deadline_exceeded: u64,
@@ -318,10 +331,6 @@ pub struct StatsSnapshot {
     /// Connections refused at the [`ServeConfig::max_connections`] cap
     /// with a structured `overloaded` frame and a clean close.
     pub conns_rejected: u64,
-    /// Thread-spawn failures surfaced as structured `internal_error`
-    /// responses (stream threads, the reload thread) instead of being
-    /// silently swallowed.
-    pub spawn_errors: u64,
     /// Gauge: work requests admitted but not yet answered (queued or on
     /// a worker).
     pub in_flight: u64,
@@ -332,9 +341,9 @@ pub struct StatsSnapshot {
 }
 
 /// The reactor's doorbell. The reactor sleeps between sweeps on this
-/// condvar; any producer with fresh output (a worker reply, a stream
-/// event, the reload thread, shutdown) rings it so flushing never waits
-/// for the next timed sweep. Socket *input* is not signalled — inbound
+/// condvar; any producer with fresh output (a worker's reply or stream
+/// event, shutdown) rings it so flushing never waits for the next timed
+/// sweep. Socket *input* is not signalled — inbound
 /// bytes are picked up by the timed sweep itself, which bounds the cost
 /// of thousands of idle connections to one nonblocking read each per
 /// sweep.
@@ -366,21 +375,27 @@ impl ReactorWake {
 }
 
 /// The slice of one connection's state shared outside the reactor.
-/// Workers, stream threads, and the transient reload thread hold an
-/// `Arc` to it and push rendered reply frames into the outbox; the
-/// reactor — sole owner of the socket — drains it. The reactor also
-/// uses the `Arc`'s strong count as the liveness signal for a
-/// half-closed connection: once it holds the only reference and the
+/// Workers hold an `Arc` to it while they serve one of the connection's
+/// jobs, and push rendered reply frames and stream events into the
+/// outbox; the reactor — sole owner of the socket — drains it. The
+/// reactor also uses the `Arc`'s strong count as the liveness signal for
+/// a half-closed connection: once it holds the only reference and the
 /// outbox is dry, no late reply can ever arrive and the socket can
 /// close.
 struct ConnShared {
     outbox: Outbox,
-    /// True while an ordered (untagged) request or reload is in flight:
-    /// the reactor neither reads the socket nor parses buffered frames
-    /// until the producer pushes the reply and lifts the pause — the
-    /// blocking path's one-in-one-out ordering, with TCP backpressure
-    /// instead of a blocked reader thread.
+    /// True while an ordered (untagged) request, a watch push or finish,
+    /// or a reload is in flight: the reactor neither reads the socket nor
+    /// parses buffered frames until the worker pushes the reply and lifts
+    /// the pause — the blocking path's one-in-one-out ordering, with TCP
+    /// backpressure instead of a blocked reader thread.
     paused: AtomicBool,
+    /// The connection's open watch streams, keyed by stream id (the
+    /// `watch` frame's trace id). A stream id is only routable on the
+    /// connection that opened it. The reactor inserts at open and clears
+    /// the registry when the connection goes; a worker removes a stream
+    /// that ended before it lifts the pause.
+    streams: Mutex<HashMap<u64, Arc<WatchStream>>>,
     wake: Arc<ReactorWake>,
 }
 
@@ -389,63 +404,97 @@ impl ConnShared {
         ConnShared {
             outbox: Outbox::new(),
             paused: AtomicBool::new(false),
+            streams: Mutex::new(HashMap::new()),
             wake,
         }
     }
 
-    /// Render `frame` and enqueue it for the reactor to write. A closed
-    /// outbox (dead connection) makes this a no-op — a worker finishing
-    /// after its peer hung up answers nowhere, exactly like the old
-    /// dropped writer channel.
-    fn push(&self, frame: Json) {
+    /// Render `frame` and enqueue it for the reactor to write. Returns
+    /// whether the outbox took it: a closed outbox (dead connection)
+    /// makes this a no-op — a worker finishing after its peer hung up
+    /// answers nowhere, exactly like the old dropped writer channel.
+    fn push(&self, frame: Json) -> bool {
         let mut line = frame.to_string();
         line.push('\n');
-        if self.outbox.push(line.as_bytes()) {
+        let accepted = self.outbox.push(line.as_bytes());
+        if accepted {
             self.wake.notify();
         }
+        accepted
     }
 
-    /// Push a reply and lift the connection's pause, in that order —
-    /// the reply must be in the outbox before the reactor may parse
-    /// (and answer) the connection's next frame.
-    fn push_and_unpause(&self, frame: Json) {
-        self.push(frame);
+    /// Lift the pause. Whatever answers the paused frame must already be
+    /// in the outbox: the reactor may parse (and answer) the connection's
+    /// next frame as soon as this returns.
+    fn unpause(&self) {
         self.paused.store(false, Ordering::Release);
         self.wake.notify();
     }
+
+    fn streams(&self) -> std::sync::MutexGuard<'_, HashMap<u64, Arc<WatchStream>>> {
+        // A map of `Arc`s: nothing a panicked holder could leave torn.
+        self.streams.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
-/// Where a worker's answer goes: into the connection's outbox, drained
-/// by the reactor. `Ordered` answers an untagged request — the reactor
-/// paused the connection at admission and the worker lifts the pause
-/// only after the decorated reply is enqueued. `Pipelined` answers a
-/// tagged request: the worker decorates the frame (trace id + echoed
-/// `id`) and the response may overtake other in-flight work.
-enum Reply {
-    Ordered { conn: Arc<ConnShared> },
-    Pipelined { conn: Arc<ConnShared>, id: Json },
+/// `frame` stamped with its trace id and, for a tagged request, the
+/// echoed envelope `id`.
+fn decorate(frame: Json, trace: u64, id: Option<&Json>) -> Json {
+    let frame = with_trace_id(frame, trace);
+    match id {
+        Some(id) => with_request_id(frame, id),
+        None => frame,
+    }
 }
 
-/// One admitted unit of work. The `repo` snapshot is taken at admission:
-/// whatever generation was live when the request was accepted is the
-/// generation that answers it, regardless of concurrent reloads.
+/// Where a job's answers go: into the connection's outbox, drained by
+/// the reactor, stamped with the frame's trace id and, for a tagged
+/// request, its echoed envelope `id`. Tagged work is pipelined: its
+/// reply may overtake other in-flight work. Every other job is ordered:
+/// the reactor paused the connection at admission, and the worker lifts
+/// the pause once the job's last frame is in the outbox.
+struct Reply {
+    conn: Arc<ConnShared>,
+    /// Server-unique id assigned to the frame at read time.
+    trace: u64,
+    id: Option<Json>,
+}
+
+impl Reply {
+    /// Push `frame`, stamped; returns whether the outbox took it.
+    fn send(&self, frame: Json) -> bool {
+        self.conn
+            .push(decorate(frame, self.trace, self.id.as_ref()))
+    }
+}
+
+/// One admitted work request (classify, classify-batch, model). The
+/// `repo` snapshot is taken at admission: whatever generation was live
+/// when the request was accepted is the generation that answers it,
+/// regardless of concurrent reloads.
 struct Job {
     request: Request,
     repo: Arc<RepoState>,
     deadline: Option<Instant>,
     enqueued: Instant,
     reply: Reply,
-    /// Server-unique id assigned to the frame at read time.
-    trace_id: u64,
     /// Whether the response should carry the stage-timing breakdown.
     wants_timings: bool,
 }
 
-impl Job {
-    /// The request kind, as recorded in the flight ring.
-    fn kind(&self) -> &'static str {
-        request_kind(&self.request)
-    }
+/// What the admission queue carries to the worker pool.
+enum Task {
+    /// A work request; the only kind the request accounting sees.
+    Work(Job),
+    /// A `watch-push` (`increments` is `Some`) or `watch-finish`
+    /// (`None`) on an open stream.
+    Stream {
+        stream: Arc<WatchStream>,
+        increments: Option<u64>,
+        reply: Reply,
+    },
+    /// A `reload-repo`, from `path` or the current repository's file.
+    Reload { path: Option<String>, reply: Reply },
 }
 
 fn request_kind(request: &Request) -> &'static str {
@@ -482,7 +531,7 @@ struct Shared {
     config: ServeConfig,
     builder: ModelBuilder,
     repo: Mutex<Arc<RepoState>>,
-    queue: BoundedQueue<Job>,
+    queue: BoundedQueue<Task>,
     counters: Counters,
     shutdown: AtomicBool,
     addr: SocketAddr,
@@ -492,8 +541,7 @@ struct Shared {
     in_flight: AtomicU64,
     /// Workers currently executing a job.
     busy_workers: AtomicU64,
-    /// Open watch streams across all connections (each runs on its own
-    /// dedicated thread, outside the worker pool).
+    /// Open watch streams across all connections.
     streams_active: AtomicU64,
     /// Connections currently registered with the reactor.
     conns_active: AtomicU64,
@@ -529,7 +577,6 @@ impl Shared {
             timeouts: self.counters.timeouts.load(Ordering::Relaxed),
             accept_errors: self.counters.accept_errors.load(Ordering::Relaxed),
             conns_rejected: self.counters.conns_rejected.load(Ordering::Relaxed),
-            spawn_errors: self.counters.spawn_errors.load(Ordering::Relaxed),
             in_flight: self.in_flight.load(Ordering::Relaxed),
             busy_workers: self.busy_workers.load(Ordering::Relaxed),
             conns_active: self.conns_active.load(Ordering::Relaxed),
@@ -688,7 +735,7 @@ pub fn spawn(config: ServeConfig) -> Result<ServerHandle, ServeError> {
         repo: Mutex::new(Arc::new(RepoState {
             generation: 1,
             path: config.repo_path.clone(),
-            detector,
+            detector: Arc::new(detector),
         })),
         queue: BoundedQueue::new(config.queue_depth),
         counters: Counters::default(),
@@ -818,12 +865,6 @@ struct Conn {
     stream: TcpStream,
     shared: Arc<ConnShared>,
     assembler: FrameAssembler,
-    /// Open watch streams on this connection, keyed by stream id (the
-    /// `watch` frame's trace id). A stream id is only routable on the
-    /// connection that opened it; dropping the map drops the last
-    /// command sender of every stream — each stream thread winds down
-    /// on its own.
-    watches: HashMap<u64, mpsc::Sender<WatchCmd>>,
     /// When the last byte arrived (connect time until then).
     last_read: Instant,
     /// Set while outbound bytes are pending and writes make no
@@ -856,7 +897,6 @@ impl Conn {
             stream,
             shared,
             assembler: FrameAssembler::new(max_frame_len),
-            watches: HashMap::new(),
             last_read: Instant::now(),
             write_stalled_since: None,
             spoke: false,
@@ -1149,13 +1189,12 @@ fn sweep_conn(
             }
         }
         // 6. EOF wind-down. Once the assembler is drained no further
-        // frame can arrive: drop the watch senders (each stream thread
-        // winds down on its own), and close when the outbox is dry and
-        // no worker/stream/reload still holds the connection — their
-        // late replies must still be written first.
+        // frame can arrive: close the open streams (a stream a worker is
+        // pushing ends when that push does), and close the connection
+        // when the outbox is dry and no worker still holds it — late
+        // replies and events must still be written first.
         if conn.eof && conn.assembler.is_drained() {
-            if !conn.watches.is_empty() {
-                conn.watches.clear();
+            if close_streams(&conn.shared) {
                 progress = true;
             }
             if conn.shared.outbox.is_empty() && Arc::strong_count(&conn.shared) == 1 {
@@ -1243,15 +1282,25 @@ fn discard_input(conn: &mut Conn, buf: &mut [u8]) -> SweepOutcome {
 }
 
 /// Deregister a connection: count it if it died to the stall timeout,
-/// close its outbox so late producers become no-ops, and drop the
-/// socket and watch senders.
+/// close its outbox so late producers become no-ops (a push in progress
+/// stops at its next event), close its open streams, and drop the
+/// socket.
 fn close_conn(shared: &Arc<Shared>, conn: Conn, reason: &CloseReason) {
     if matches!(reason, CloseReason::Timeout) {
         shared.counters.timeouts.fetch_add(1, Ordering::Relaxed);
         sca_telemetry::counter("serve.timeouts", 1);
     }
     conn.shared.outbox.close();
+    close_streams(&conn.shared);
     shared.conns_active.fetch_sub(1, Ordering::Relaxed);
+}
+
+/// Drop a connection's stream registry; returns whether it held any.
+/// Each stream ends as soon as no job holds it either (see
+/// [`WatchStream`]'s `Drop`).
+fn close_streams(conn: &ConnShared) -> bool {
+    let streams = std::mem::take(&mut *conn.streams());
+    !streams.is_empty()
 }
 
 /// The exiting reactor's last act: keep flushing already-queued replies
@@ -1280,6 +1329,9 @@ fn final_flush(shared: &Arc<Shared>, mut conns: Vec<Conn>) {
     for conn in &conns {
         conn.shared.outbox.close();
     }
+    // Dropping the connections drops their stream registries: every
+    // stream still open lands its flight entry here.
+    drop(conns);
     shared.conns_active.store(0, Ordering::Relaxed);
 }
 
@@ -1303,111 +1355,56 @@ fn handle_frame(shared: &Arc<Shared>, conn: &mut Conn, line: &str) {
     };
     let id = request_id(&parsed);
     let wants_timings = request_wants_timings(&parsed);
-    let (response, id) = match Request::from_json(&parsed) {
-        Err(e) => (Some(error_frame(KIND_BAD_REQUEST, &e)), id),
+    let response = match Request::from_json(&parsed) {
+        Err(e) => Some(error_frame(KIND_BAD_REQUEST, &e)),
         // Acknowledge shutdown *before* initiating it: once the worker
         // pool unwinds the whole process may exit (CLI `serve`), and
         // the ack must not race that exit — so `begin_shutdown` waits
         // until the sweep sees the ack flushed.
         Ok(Request::Shutdown) => {
-            let mut frame =
-                with_trace_id(ok_frame(vec![("stopping".into(), Json::Bool(true))]), trace);
-            if let Some(id) = &id {
-                frame = with_request_id(frame, id);
-            }
-            conn.shared.push(frame);
+            let ack = ok_frame(vec![("stopping".into(), Json::Bool(true))]);
+            conn.shared.push(decorate(ack, trace, id.as_ref()));
             conn.shutdown_after_flush = true;
-            (None, None)
+            None
         }
-        // Watch streams are per-connection state, so the three stream
-        // commands are routed here. Pushed events flow from the stream
-        // thread straight into the outbox; only the open ack (and
-        // routing failures) answer inline.
-        Ok(Request::Watch {
-            name,
-            program,
-            victim,
-            increment,
-            threshold,
-            sustain,
-            deadline_ms,
-        }) => {
-            let open = WatchOpen {
-                name,
-                program,
-                victim,
-                increment,
-                threshold,
-                sustain,
-                deadline_ms,
-            };
-            (
-                Some(start_watch(
-                    shared,
-                    &conn.shared,
-                    &mut conn.watches,
-                    trace,
-                    open,
-                )),
-                id,
-            )
-        }
+        // Opening a stream is cheap (validation plus the session's
+        // begin) and answers inline; its pushes, finish and events run
+        // on the pool.
+        Ok(watch @ Request::Watch { .. }) => Some(open_watch(shared, &conn.shared, trace, watch)),
         Ok(Request::WatchPush { stream, increments }) => {
-            let cmd = WatchCmd::Push {
-                increments,
+            submit_stream(
+                shared,
+                &conn.shared,
+                stream,
+                Some(increments),
                 trace,
-                id: id.clone(),
-            };
-            (route_watch_cmd(&mut conn.watches, stream, cmd), id)
+                id.clone(),
+            );
+            None
         }
         Ok(Request::WatchFinish { stream }) => {
-            let cmd = WatchCmd::Finish {
-                trace,
-                id: id.clone(),
-            };
-            let response = route_watch_cmd(&mut conn.watches, stream, cmd);
-            // Finish closes the stream either way: a successfully
-            // routed finish ends the thread, and a routing failure
-            // means it is already gone.
-            conn.watches.remove(&stream);
-            (response, id)
+            submit_stream(shared, &conn.shared, stream, None, trace, id.clone());
+            None
         }
         // Reload rebuilds a whole detector — far too slow for the
-        // reactor thread. It runs on a transient thread with the
-        // connection paused, preserving the old inline ordering.
+        // reactor thread. It runs on a worker with the connection
+        // paused, preserving the old inline ordering.
         Ok(Request::ReloadRepo { path }) => {
-            submit_reload(shared, &conn.shared, trace, id, path);
-            (None, None)
+            submit_reload(shared, &conn.shared, path, trace, id.clone());
+            None
         }
-        // Tagged work is pipelined: admitted without pausing, answered
-        // whenever it completes, possibly out of order.
-        Ok(
-            work @ (Request::Classify { .. }
-            | Request::ClassifyBatch { .. }
-            | Request::Model { .. }),
-        ) if id.is_some() => {
-            let id = id.expect("guarded by is_some");
-            submit_pipelined(work, shared, trace, wants_timings, id, &conn.shared);
-            (None, None)
-        }
-        // Untagged work keeps one-in-one-out ordering by pausing the
-        // connection until the worker's reply is in the outbox.
         Ok(
             work @ (Request::Classify { .. }
             | Request::ClassifyBatch { .. }
             | Request::Model { .. }),
         ) => {
-            submit_ordered(work, shared, trace, wants_timings, &conn.shared);
-            (None, None)
+            submit_work(work, shared, trace, wants_timings, id.clone(), &conn.shared);
+            None
         }
-        Ok(req) => (Some(dispatch(req, shared)), id),
+        Ok(req) => Some(dispatch(req, shared)),
     };
     if let Some(frame) = response {
-        let mut frame = with_trace_id(frame, trace);
-        if let Some(id) = &id {
-            frame = with_request_id(frame, id);
-        }
-        conn.shared.push(frame);
+        conn.shared.push(decorate(frame, trace, id.as_ref()));
     }
 }
 
@@ -1450,7 +1447,6 @@ fn stats_frame(shared: &Arc<Shared>) -> Json {
                 ("timeouts".into(), num(s.timeouts)),
                 ("accept_errors".into(), num(s.accept_errors)),
                 ("conns_rejected".into(), num(s.conns_rejected)),
-                ("spawn_errors".into(), num(s.spawn_errors)),
                 ("conns_active".into(), num(s.conns_active)),
                 ("queue_depth".into(), num(shared.queue.depth() as u64)),
                 ("queue_capacity".into(), num(shared.queue.capacity() as u64)),
@@ -1616,7 +1612,7 @@ fn reload_repo(shared: &Arc<Shared>, path: Option<&str>) -> Json {
     let next = Arc::new(RepoState {
         generation: slot.generation + 1,
         path,
-        detector,
+        detector: Arc::new(detector),
     });
     *slot = Arc::clone(&next);
     drop(slot);
@@ -1625,113 +1621,114 @@ fn reload_repo(shared: &Arc<Shared>, path: Option<&str>) -> Json {
     ok_frame(vec![("repo".into(), next.json())])
 }
 
-/// The parsed fields of a `watch` frame, bundled so the open path stays
-/// one argument list.
-struct WatchOpen {
-    name: String,
-    program: String,
-    victim: String,
-    increment: Option<u64>,
-    threshold: Option<f64>,
-    sustain: Option<u64>,
-    deadline_ms: Option<u64>,
+/// Run a `reload-repo`, answer it and lift the pause the reactor set at
+/// admission. A panic fails the reload alone: the worker survives.
+fn serve_reload(shared: &Arc<Shared>, path: Option<&str>, reply: &Reply) {
+    let frame =
+        catch_unwind(AssertUnwindSafe(|| reload_repo(shared, path))).unwrap_or_else(|payload| {
+            let what = caught_panic(shared, &*payload);
+            error_frame(KIND_INTERNAL_ERROR, &format!("reload panicked: {what}"))
+        });
+    reply.send(frame);
+    reply.conn.unpause();
 }
 
-/// One command routed from the connection handler to a watch stream's
-/// dedicated thread. Each carries the triggering frame's trace id and
-/// echoed envelope `id`, so every pushed event can be attributed to the
-/// frame that caused it.
-enum WatchCmd {
-    /// Commit `increments` whole increments, emitting one `progress`
-    /// event per increment (plus `alarm`/`done` as they happen).
-    Push {
-        increments: u64,
-        trace: u64,
-        id: Option<Json>,
-    },
-    /// Close the stream: emit the final `done` event with the current
-    /// prefix's detection, then exit.
-    Finish { trace: u64, id: Option<Json> },
-}
-
-/// How a watch stream ended, for its one flight-recorder entry.
-struct StreamEnd {
-    outcome: Outcome,
-    verdict: Option<String>,
-    increments: u64,
-    alarms: u64,
+/// Queue a `reload-repo` with the connection paused, so no later frame
+/// on it is answered before the reload's own reply. The pause comes
+/// first, because the worker lifts it; a refusal (shutdown, or a full
+/// queue) answers at once and lifts it here.
+fn submit_reload(
+    shared: &Arc<Shared>,
+    conn: &Arc<ConnShared>,
+    path: Option<String>,
+    trace: u64,
+    id: Option<Json>,
+) {
+    conn.paused.store(true, Ordering::Release);
+    let reply = Reply {
+        conn: Arc::clone(conn),
+        trace,
+        id: id.clone(),
+    };
+    if let Err(refusal) = enqueue(shared, Task::Reload { path, reply }) {
+        conn.push(decorate(refusal, trace, id.as_ref()));
+        conn.unpause();
+    }
 }
 
 /// Open a watch stream: validate the inputs inline (victim spec,
-/// assembly, threshold — all answered synchronously as `bad_request` /
-/// `model_error`), snapshot the repository generation, and hand the
-/// session to a dedicated detached thread. Streams deliberately run
-/// *outside* the worker pool: a stream lives as long as its client
-/// keeps pushing, and parking it on a worker would let a handful of
-/// idle watchers starve classify traffic.
-fn start_watch(
-    shared: &Arc<Shared>,
-    out: &Arc<ConnShared>,
-    watches: &mut HashMap<u64, mpsc::Sender<WatchCmd>>,
-    stream_id: u64,
-    open: WatchOpen,
-) -> Json {
+/// assembly, threshold, an empty program — all answered synchronously
+/// as `bad_request` / `model_error`), begin its session against the live
+/// repository generation, and register it on the connection. The stream
+/// holds no thread: its pushes and its finish are jobs for the pool.
+fn open_watch(shared: &Arc<Shared>, conn: &ConnShared, stream_id: u64, request: Request) -> Json {
+    let Request::Watch {
+        name,
+        program,
+        victim,
+        increment,
+        threshold,
+        sustain,
+        deadline_ms,
+    } = request
+    else {
+        return error_frame(KIND_INTERNAL_ERROR, "not a watch request");
+    };
     if shared.shutdown.load(Ordering::SeqCst) {
         return error_frame(KIND_SHUTTING_DOWN, "server is shutting down");
     }
-    let victim = match parse_victim(&open.victim) {
+    let victim = match parse_victim(&victim) {
         Ok(v) => v,
         Err(e) => return error_frame(KIND_BAD_REQUEST, &e),
     };
-    let program = match sca_isa::assemble(&open.name, &open.program) {
+    let program = match sca_isa::assemble(&name, &program) {
         Ok(p) => p,
         Err(e) => return error_frame(KIND_BAD_REQUEST, &format!("assembly failed: {e}")),
     };
     let mut cfg = StreamConfig::default();
-    if let Some(n) = open.increment {
+    if let Some(n) = increment {
         cfg.increment = n.max(1);
     }
-    if let Some(t) = open.threshold {
+    if let Some(t) = threshold {
         cfg.threshold = t;
     }
-    if let Some(k) = open.sustain {
+    if let Some(k) = sustain {
         cfg.sustain = u32::try_from(k.clamp(1, u64::from(u32::MAX))).expect("clamped");
     }
     if let Err(e) = StreamSession::validate_threshold(&cfg) {
         return error_frame(KIND_BAD_REQUEST, &e.to_string());
     }
-    let modeling = ModelingConfig::default();
-    // Fail empty programs at the ack, not as a first pushed event — the
-    // rejection is the same one batch modeling gives.
-    if let Err(e) = StreamingModeler::begin(&program, &victim, &modeling) {
-        return error_frame(KIND_MODEL_ERROR, &e.to_string());
-    }
     // Like work admission, the repository generation is fixed when the
     // stream opens: every increment of one stream scores against
     // exactly one generation, regardless of concurrent reloads.
     let repo = shared.repo_snapshot();
-    let (cmd_tx, cmd_rx) = mpsc::channel();
+    // An empty program fails at the ack, not as a first pushed event —
+    // the rejection is the same one batch modeling gives.
+    let session = match StreamSession::begin(
+        Arc::clone(&repo.detector),
+        &program,
+        &victim,
+        &ModelingConfig::default(),
+        &cfg,
+    ) {
+        Ok(s) => s,
+        Err(e) => return error_frame(KIND_MODEL_ERROR, &e.to_string()),
+    };
+    shared.streams_active.fetch_add(1, Ordering::Relaxed);
     let stream = WatchStream {
         shared: Arc::clone(shared),
-        repo: Arc::clone(&repo),
-        out: Arc::clone(out),
-        stream_id,
-        program,
-        victim,
-        modeling,
-        cfg: cfg.clone(),
-        deadline_ms: open.deadline_ms.or(shared.config.deadline_ms),
+        id: stream_id,
+        name,
+        deadline_ms: deadline_ms.or(shared.config.deadline_ms),
+        opened: Instant::now(),
+        state: Mutex::new(StreamState {
+            session,
+            outcome: Outcome::Error,
+            verdict: None,
+            alarms: 0,
+        }),
     };
-    if thread::Builder::new()
-        .name(format!("sca-serve-stream-{stream_id}"))
-        .spawn(move || stream.run(cmd_rx))
-        .is_err()
-    {
-        shared.counters.spawn_errors.fetch_add(1, Ordering::Relaxed);
-        sca_telemetry::counter("serve.spawn_errors", 1);
-        return error_frame(KIND_INTERNAL_ERROR, "cannot spawn a stream thread");
-    }
-    watches.insert(stream_id, cmd_tx);
+    conn.streams().insert(stream_id, Arc::new(stream));
     sca_telemetry::counter("serve.streams_opened", 1);
     ok_frame(vec![
         ("event".into(), Json::Str("watching".into())),
@@ -1743,240 +1740,184 @@ fn start_watch(
     ])
 }
 
-/// Route one command to an open stream on this connection. `None` means
-/// it was routed (the stream thread answers with events); `Some` is the
-/// inline error frame for an unknown or already-closed stream.
-fn route_watch_cmd(
-    watches: &mut HashMap<u64, mpsc::Sender<WatchCmd>>,
-    stream: u64,
-    cmd: WatchCmd,
-) -> Option<Json> {
-    let Some(tx) = watches.get(&stream) else {
-        return Some(error_frame(
+/// Queue a `watch-push` (`increments` is `Some`) or a `watch-finish`
+/// (`None`) on an open stream, with the connection paused until the
+/// worker's last event: the pause, not a channel, keeps a stream's
+/// events in order. A stream id that is not open on this connection is
+/// answered inline with `bad_request`. A refusal (shutdown, or a full
+/// queue) answers with an error event that names the stream and ends
+/// the push (`last`); the stream stays open, so the client can retry.
+fn submit_stream(
+    shared: &Arc<Shared>,
+    conn: &Arc<ConnShared>,
+    stream_id: u64,
+    increments: Option<u64>,
+    trace: u64,
+    id: Option<Json>,
+) {
+    let Some(stream) = conn.streams().get(&stream_id).cloned() else {
+        let frame = error_frame(
             KIND_BAD_REQUEST,
-            &format!("no open watch stream {stream} on this connection"),
-        ));
+            &format!("no open watch stream {stream_id} on this connection"),
+        );
+        conn.push(decorate(frame, trace, id.as_ref()));
+        return;
     };
-    if tx.send(cmd).is_err() {
-        // The thread already exited (its trace ended, or it died to a
-        // panic / deadline policy): the stream fails alone, and later
-        // commands get a structured answer instead of silence.
-        watches.remove(&stream);
-        return Some(error_frame(
-            KIND_BAD_REQUEST,
-            &format!("watch stream {stream} is closed"),
+    conn.paused.store(true, Ordering::Release);
+    let reply = Reply {
+        conn: Arc::clone(conn),
+        trace,
+        id: id.clone(),
+    };
+    let task = Task::Stream {
+        stream,
+        increments,
+        reply,
+    };
+    if let Err(refusal) = enqueue(shared, task) {
+        conn.push(decorate(
+            error_event(stream_id, refusal),
+            trace,
+            id.as_ref(),
         ));
+        conn.unpause();
     }
-    None
 }
 
-/// One live watch stream: an online [`StreamSession`] plus the plumbing
-/// to push its events into the connection's outbox (DESIGN.md §17).
+/// One open watch stream (DESIGN.md §17): an online [`StreamSession`]
+/// and its counters. The connection's registry holds it while it is
+/// open, and a push or finish job while a worker runs it. Whoever lets
+/// go last — however the stream ended: done, finish, panic, disconnect
+/// or shutdown — runs `Drop`, which lands the stream's one flight entry
+/// and takes it off `serve.streams_active`.
 struct WatchStream {
     shared: Arc<Shared>,
-    repo: Arc<RepoState>,
-    out: Arc<ConnShared>,
-    stream_id: u64,
-    program: sca_isa::Program,
-    victim: Victim,
-    modeling: ModelingConfig,
-    cfg: StreamConfig,
-    /// Per-push deadline budget; a miss ends the push, not the stream.
+    id: u64,
+    /// The program's name, which the `done` detection carries.
+    name: String,
+    /// Per-increment deadline budget; a miss ends the push, not the
+    /// stream.
     deadline_ms: Option<u64>,
+    opened: Instant,
+    /// Only one job runs a stream at a time (its connection is paused
+    /// meanwhile), so this lock is never contended.
+    state: Mutex<StreamState>,
 }
 
-impl WatchStream {
-    /// Thread body: serve commands until the stream ends, then record
-    /// its one flight-recorder entry. The gauge and the summary are
-    /// written outside the catch so even a panicking stream is
-    /// accounted for and `serve.streams_active` always returns to zero.
-    fn run(self, cmds: mpsc::Receiver<WatchCmd>) {
-        self.shared.streams_active.fetch_add(1, Ordering::Relaxed);
-        let started = Instant::now();
-        let end =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.serve_stream(cmds)))
-                .unwrap_or(StreamEnd {
-                    outcome: Outcome::Panic,
-                    verdict: None,
-                    increments: 0,
-                    alarms: 0,
-                });
+struct StreamState {
+    session: StreamSession,
+    /// How the stream ended: `Error` (its client went away) until a
+    /// `done` event or a panic says otherwise.
+    outcome: Outcome,
+    verdict: Option<String>,
+    alarms: u64,
+}
+
+impl Drop for WatchStream {
+    fn drop(&mut self) {
         // One summary per stream, not per increment — and deliberately
         // never recorded into the `serve.latency_ns` histogram: a
         // stream's lifetime is set by how long the client keeps
         // pushing, and folding that into the per-request histogram
         // would drown the worker latencies it summarizes.
+        let state = self.state.get_mut().unwrap_or_else(PoisonError::into_inner);
         self.shared.flight.record(RequestSummary {
-            trace_id: self.stream_id,
+            trace_id: self.id,
             name: "watch".into(),
-            outcome: end.outcome,
-            verdict: end.verdict,
-            latency_ns: started.elapsed().as_nanos() as u64,
+            outcome: state.outcome,
+            verdict: state.verdict.take(),
+            latency_ns: self.opened.elapsed().as_nanos() as u64,
             stages: vec![
-                ("increments".into(), end.increments),
-                ("alarms".into(), end.alarms),
+                ("increments".into(), state.session.increments()),
+                ("alarms".into(), state.alarms),
             ],
         });
         self.shared.streams_active.fetch_sub(1, Ordering::Relaxed);
     }
+}
 
-    /// The per-push deadline, re-armed fresh for each unit of work.
+/// Run a `watch-push` (`increments` is `Some`) or `watch-finish`
+/// (`None`) on `stream`, sending each event as it happens, then lift the
+/// pause the reactor set at admission. A stream that ended (its trace
+/// did, it was finished, or it panicked) leaves the registry first, so
+/// the connection's next frame finds it closed. Panic isolation, stream
+/// edition: a panic costs exactly this stream — the connection, its
+/// other streams, and the worker stay whole.
+fn serve_stream(
+    shared: &Arc<Shared>,
+    stream: &WatchStream,
+    increments: Option<u64>,
+    reply: &Reply,
+) {
+    let ended = catch_unwind(AssertUnwindSafe(|| {
+        let mut state = stream.state();
+        match increments {
+            Some(n) => stream.push(&mut state, n, reply),
+            None => {
+                stream.finish(&mut state, reply);
+                true
+            }
+        }
+    }))
+    .unwrap_or_else(|payload| {
+        let what = caught_panic(shared, &*payload);
+        stream.state().outcome = Outcome::Panic;
+        reply.send(error_event(
+            stream.id,
+            error_frame(
+                KIND_INTERNAL_ERROR,
+                &format!("stream panicked mid-increment: {what}"),
+            ),
+        ));
+        true
+    });
+    if ended {
+        reply.conn.streams().remove(&stream.id);
+    }
+    reply.conn.unpause();
+}
+
+impl WatchStream {
+    fn state(&self) -> std::sync::MutexGuard<'_, StreamState> {
+        // A panic mid-increment ends the stream; afterwards only its
+        // counters are read.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The per-increment deadline, re-armed fresh for each unit of work.
     fn deadline(&self) -> Option<Instant> {
         self.deadline_ms
             .map(|ms| Instant::now() + Duration::from_millis(ms))
     }
 
-    /// Decorate an event with the triggering frame's ids and push it
-    /// into the outbox. A closed outbox means a gone connection and the
-    /// push is a silent no-op; the recv loop sees the disconnect next.
-    fn emit(&self, trace: u64, id: Option<&Json>, frame: Json) {
-        let mut frame = with_trace_id(frame, trace);
-        if let Some(id) = id {
-            frame = with_request_id(frame, id);
-        }
-        self.out.push(frame);
-    }
-
-    fn serve_stream(&self, cmds: mpsc::Receiver<WatchCmd>) -> StreamEnd {
-        // The receiver lives in an Option so every terminal path can
-        // drop it *before* emitting its last event. That ordering is
-        // load-bearing: once a client has read a terminal event, a
-        // subsequent `watch-push` must find a dead sender and get the
-        // inline closed-stream error — if the receiver outlived the
-        // emit, the push could be routed into this exiting thread and
-        // never answered.
-        let mut cmds = Some(cmds);
-        let mut end = StreamEnd {
-            outcome: Outcome::Error,
-            verdict: None,
-            increments: 0,
-            alarms: 0,
-        };
-        let mut session = match StreamSession::begin(
-            &self.repo.detector,
-            &self.program,
-            &self.victim,
-            &self.modeling,
-            &self.cfg,
-        ) {
-            Ok(s) => s,
-            // Unreachable in practice: `start_watch` already ran the
-            // same begin. Answered as a terminal event for safety.
-            Err(e) => {
-                drop(cmds.take());
-                self.emit(
-                    self.stream_id,
-                    None,
-                    error_event(self.stream_id, KIND_MODEL_ERROR, &e.to_string()),
-                );
-                return end;
-            }
-        };
-        loop {
-            let Ok(cmd) = cmds
-                .as_ref()
-                .expect("receiver lives until a terminal path")
-                .recv()
-            else {
-                // The connection went away (handler dropped, or the
-                // stream was finished and forgotten): this stream dies
-                // alone, with whatever it counted so far.
-                return end;
-            };
-            match cmd {
-                WatchCmd::Push {
-                    increments,
-                    trace,
-                    id,
-                } => {
-                    if !self.push(
-                        &mut session,
-                        &mut end,
-                        increments,
-                        trace,
-                        id.as_ref(),
-                        &mut cmds,
-                    ) {
-                        return end;
-                    }
-                }
-                WatchCmd::Finish { trace, id } => {
-                    self.finish(&mut session, &mut end, trace, id.as_ref(), &mut cmds);
-                    return end;
-                }
-            }
-        }
-    }
-
-    /// Serve one `watch-push`: commit up to `increments` increments,
-    /// emitting events as they happen. Returns whether the stream is
-    /// still alive afterwards; `end` tracks the running totals either
-    /// way.
-    fn push(
-        &self,
-        session: &mut StreamSession<'_>,
-        end: &mut StreamEnd,
-        increments: u64,
-        trace: u64,
-        id: Option<&Json>,
-        cmds: &mut Option<mpsc::Receiver<WatchCmd>>,
-    ) -> bool {
+    /// Commit up to `increments` increments, emitting events as they
+    /// happen; returns whether the trace ended. A closed outbox stops the
+    /// push at the first increment whose events it refused: the client
+    /// is gone, and nobody will read what the rest of the push owes.
+    fn push(&self, state: &mut StreamState, increments: u64, reply: &Reply) -> bool {
         let want = increments.max(1);
         for i in 0..want {
-            // Panic isolation, stream edition: a panic mid-increment
-            // costs exactly this stream — the connection, its other
-            // streams, and the worker pool stay at full strength.
-            let pushed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                session.push(None, self.deadline())
-            }));
-            let update = match pushed {
-                Err(payload) => {
-                    self.shared.counters.panics.fetch_add(1, Ordering::Relaxed);
-                    sca_telemetry::counter("serve.panics", 1);
-                    let what = payload
-                        .downcast_ref::<&str>()
-                        .copied()
-                        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-                        .unwrap_or("<non-string panic payload>");
-                    drop(cmds.take());
-                    self.emit(
-                        trace,
-                        id,
-                        error_event(
-                            self.stream_id,
-                            KIND_INTERNAL_ERROR,
-                            &format!("stream panicked mid-increment: {what}"),
-                        ),
-                    );
-                    end.outcome = Outcome::Panic;
-                    return false;
-                }
-                Ok(Err(DeadlineExceeded)) => {
-                    // The increment's instructions stay committed; the
-                    // stream survives and the client may push again.
-                    self.shared
-                        .counters
-                        .deadline_exceeded
-                        .fetch_add(1, Ordering::Relaxed);
-                    sca_telemetry::counter("serve.deadline_exceeded", 1);
-                    self.emit(
-                        trace,
-                        id,
-                        error_event(
-                            self.stream_id,
-                            KIND_DEADLINE_EXCEEDED,
-                            "deadline passed mid-scan; the increment stays committed — push again to retry",
-                        ),
-                    );
-                    return true;
-                }
-                Ok(Ok(update)) => update,
+            let Ok(update) = state.session.push(None, self.deadline()) else {
+                // The increment's instructions stay committed; the
+                // stream survives and the client may push again.
+                self.shared
+                    .counters
+                    .deadline_exceeded
+                    .fetch_add(1, Ordering::Relaxed);
+                sca_telemetry::counter("serve.deadline_exceeded", 1);
+                reply.send(error_event(
+                    self.id,
+                    error_frame(
+                        KIND_DEADLINE_EXCEEDED,
+                        "deadline passed mid-scan; the increment stays committed — push again to retry",
+                    ),
+                ));
+                return false;
             };
-            end.increments += 1;
             sca_telemetry::counter("serve.stream_increments", 1);
             if let Some(alarm) = &update.fired {
-                end.alarms += 1;
-                end.verdict = Some(format!("alarm:{}", alarm.family));
+                state.alarms += 1;
+                state.verdict = Some(format!("alarm:{}", alarm.family));
                 sca_telemetry::counter("serve.stream_alarms", 1);
             }
             // `last` marks the final event of this push so a client can
@@ -1985,59 +1926,42 @@ impl WatchStream {
             // event of the increment that completes the trace, because
             // the `done` frame still follows it.
             let push_ends = update.done || i + 1 == want;
-            self.emit(
-                trace,
-                id,
-                progress_event(
-                    self.stream_id,
-                    &update,
-                    push_ends && update.fired.is_none() && !update.done,
-                ),
-            );
+            let mut delivered = reply.send(progress_event(
+                self.id,
+                &update,
+                push_ends && update.fired.is_none() && !update.done,
+            ));
             if let Some(alarm) = &update.fired {
-                self.emit(
-                    trace,
-                    id,
-                    alarm_event(self.stream_id, alarm, push_ends && !update.done),
-                );
+                delivered &= reply.send(alarm_event(self.id, alarm, push_ends && !update.done));
             }
             if update.done {
-                self.finish(session, end, trace, id, cmds);
+                self.finish(state, reply);
+                return true;
+            }
+            if !delivered {
                 return false;
             }
         }
-        true
+        false
     }
 
     /// Emit the terminal `done` event — increments, steps, the latched
     /// alarm if any, and the current prefix's detection (rendered with
     /// the same `detection_json` as classify, so the `detection` object
     /// is byte-identical to classifying the prefix outright).
-    fn finish(
-        &self,
-        session: &mut StreamSession<'_>,
-        end: &mut StreamEnd,
-        trace: u64,
-        id: Option<&Json>,
-        cmds: &mut Option<mpsc::Receiver<WatchCmd>>,
-    ) {
-        let detection = session
+    fn finish(&self, state: &mut StreamState, reply: &Reply) {
+        let detection = state
+            .session
             .detection(self.deadline())
             .ok()
-            .map(|d| detection_json(self.program.name(), &d));
-        if end.verdict.is_none() {
-            end.verdict = detection
-                .as_ref()
-                .and_then(|d| d.get("attack"))
-                .and_then(|a| match a {
-                    Json::Bool(true) => Some("attack".to_string()),
-                    Json::Bool(false) => Some("benign".to_string()),
-                    _ => None,
-                });
+            .map(|d| detection_json(&self.name, &d));
+        if state.verdict.is_none() {
+            state.verdict = detection.as_ref().and_then(verdict);
         }
+        let session = &state.session;
         let mut fields = vec![
             ("event".into(), Json::Str("done".into())),
-            ("stream".into(), Json::Num(self.stream_id as f64)),
+            ("stream".into(), Json::Num(self.id as f64)),
             ("increments".into(), Json::Num(session.increments() as f64)),
             ("steps".into(), Json::Num(session.steps() as f64)),
             ("done".into(), Json::Bool(session.is_done())),
@@ -2050,14 +1974,29 @@ impl WatchStream {
             fields.push(("detection".into(), d));
         }
         fields.push(("last".into(), Json::Bool(true)));
-        // Close the command channel before the `done` event goes out:
-        // a client that has read `done` and pushes again must find a
-        // dead sender (inline closed-stream error), never a queued
-        // command this exiting thread will silently drop.
-        drop(cmds.take());
-        self.emit(trace, id, ok_frame(fields));
-        end.outcome = Outcome::Ok;
+        reply.send(ok_frame(fields));
+        state.outcome = Outcome::Ok;
     }
+}
+
+/// A detection's verdict, as the flight recorder names it.
+fn verdict(detection: &Json) -> Option<String> {
+    match detection.get("attack") {
+        Some(Json::Bool(true)) => Some("attack".into()),
+        Some(Json::Bool(false)) => Some("benign".into()),
+        _ => None,
+    }
+}
+
+/// Count a caught panic in `serve.panics` and name its payload.
+fn caught_panic<'a>(shared: &Shared, payload: &'a (dyn Any + Send)) -> &'a str {
+    shared.counters.panics.fetch_add(1, Ordering::Relaxed);
+    sca_telemetry::counter("serve.panics", 1);
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("<non-string panic payload>")
 }
 
 /// Render a fired [`Alarm`] as its wire object.
@@ -2109,11 +2048,10 @@ fn alarm_event(stream: u64, alarm: &Alarm, last: bool) -> Json {
     ok_frame(fields)
 }
 
-/// A terminal error event on a stream: an error frame that also names
-/// its stream and carries `"last":true`, because nothing follows it in
-/// this push.
-fn error_event(stream: u64, kind: &str, message: &str) -> Json {
-    match error_frame(kind, message) {
+/// An error frame as a stream event: it names its stream and carries
+/// `"last":true`, because nothing follows it in this push.
+fn error_event(stream: u64, frame: Json) -> Json {
+    match frame {
         Json::Obj(mut fields) => {
             fields.push(("stream".into(), Json::Num(stream as f64)));
             fields.push(("last".into(), Json::Bool(true)));
@@ -2123,22 +2061,41 @@ fn error_event(stream: u64, kind: &str, message: &str) -> Json {
     }
 }
 
-/// Admit a work request onto the queue with the given reply route, or
-/// hand back the error frame explaining why it was refused (shutdown or
-/// shed). Successful admission bumps `in_flight`; the worker drops it
-/// after answering.
-fn admit(
-    request: Request,
-    shared: &Arc<Shared>,
-    trace: u64,
-    wants_timings: bool,
-    reply: Reply,
-) -> Result<(), Json> {
-    shared.counters.received.fetch_add(1, Ordering::Relaxed);
-    sca_telemetry::counter("serve.requests", 1);
+/// Offer `task` to the admission queue, or hand back the frame that
+/// refuses it: `shutting_down`, or — when the queue is full — the
+/// retryable `overloaded`, counted in `shed`.
+fn enqueue(shared: &Shared, task: Task) -> Result<(), Json> {
     if shared.shutdown.load(Ordering::SeqCst) {
         return Err(error_frame(KIND_SHUTTING_DOWN, "server is shutting down"));
     }
+    let depth = shared.queue.try_push(task).map_err(|_| {
+        shared.counters.shed.fetch_add(1, Ordering::Relaxed);
+        sca_telemetry::counter("serve.shed", 1);
+        error_frame(
+            KIND_OVERLOADED,
+            &format!(
+                "admission queue full ({} queued); retry later",
+                shared.queue.capacity()
+            ),
+        )
+    })?;
+    sca_telemetry::record("serve.queue_depth", depth as u64);
+    Ok(())
+}
+
+/// Admit a work request onto the queue with the given reply route, or
+/// hand back the error frame explaining why it was refused (shutdown or
+/// shed). Admission bumps `in_flight`; the worker drops it after
+/// answering.
+fn admit(
+    request: Request,
+    shared: &Arc<Shared>,
+    wants_timings: bool,
+    reply: Reply,
+) -> Result<(), Json> {
+    let trace = reply.trace;
+    shared.counters.received.fetch_add(1, Ordering::Relaxed);
+    sca_telemetry::counter("serve.requests", 1);
     let deadline_ms = match &request {
         Request::Classify { deadline_ms, .. }
         | Request::ClassifyBatch { deadline_ms, .. }
@@ -2152,117 +2109,59 @@ fn admit(
         deadline: deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms)),
         enqueued: Instant::now(),
         reply,
-        trace_id: trace,
         wants_timings,
     };
-    match shared.queue.try_push(job) {
-        Ok(depth) => {
-            sca_telemetry::record("serve.queue_depth", depth as u64);
-            shared.in_flight.fetch_add(1, Ordering::Relaxed);
-            Ok(())
-        }
-        Err(_) => {
-            shared.counters.shed.fetch_add(1, Ordering::Relaxed);
-            sca_telemetry::counter("serve.shed", 1);
-            // Shed requests never reach a worker, so the admission path
-            // is the only place their story can enter the flight ring.
-            shared.flight.record(RequestSummary {
-                trace_id: trace,
-                name: kind.into(),
-                outcome: Outcome::Shed,
-                verdict: None,
-                latency_ns: 0,
-                stages: Vec::new(),
-            });
-            Err(error_frame(
-                KIND_OVERLOADED,
-                &format!(
-                    "admission queue full ({} queued); retry later",
-                    shared.queue.capacity()
-                ),
-            ))
-        }
-    }
-}
-
-/// Admit an untagged work request with one-in-one-out ordering: pause
-/// the connection first (the reactor stops reading and parsing it),
-/// then admit — the worker pushes the decorated reply and lifts the
-/// pause. Admission failures answer immediately and unpause.
-fn submit_ordered(
-    request: Request,
-    shared: &Arc<Shared>,
-    trace: u64,
-    wants_timings: bool,
-    out: &Arc<ConnShared>,
-) {
-    out.paused.store(true, Ordering::Release);
-    let reply = Reply::Ordered {
-        conn: Arc::clone(out),
+    // Counted before the job is visible to a worker, which may answer
+    // it (and drop the count) at once.
+    shared.in_flight.fetch_add(1, Ordering::Relaxed);
+    let refusal = match enqueue(shared, Task::Work(job)) {
+        Ok(()) => return Ok(()),
+        Err(frame) => frame,
     };
-    if let Err(frame) = admit(request, shared, trace, wants_timings, reply) {
-        out.push_and_unpause(with_trace_id(frame, trace));
+    shared.in_flight.fetch_sub(1, Ordering::Relaxed);
+    // Shed requests never reach a worker, so the admission path is the
+    // only place their story can enter the flight ring.
+    if protocol::error_kind(&refusal) == Some(KIND_OVERLOADED) {
+        shared.flight.record(RequestSummary {
+            trace_id: trace,
+            name: kind.into(),
+            outcome: Outcome::Shed,
+            verdict: None,
+            latency_ns: 0,
+            stages: Vec::new(),
+        });
     }
+    Err(refusal)
 }
 
-/// Admit a tagged work request without pausing the connection: the
-/// worker's (decorated) reply lands in the outbox whenever it
-/// completes, possibly overtaking other in-flight work. Admission
-/// failures answer immediately, also via the outbox.
-fn submit_pipelined(
+/// Admit a work request. Untagged work keeps one-in-one-out ordering:
+/// the connection pauses first (the reactor stops reading and parsing
+/// it), and the worker lifts the pause once its reply is in the outbox.
+/// Tagged work is pipelined: admitted without pausing, answered whenever
+/// it completes, possibly overtaking other in-flight work. Refusals
+/// answer at once.
+fn submit_work(
     request: Request,
     shared: &Arc<Shared>,
     trace: u64,
     wants_timings: bool,
-    id: Json,
-    out: &Arc<ConnShared>,
+    id: Option<Json>,
+    conn: &Arc<ConnShared>,
 ) {
-    let reply = Reply::Pipelined {
-        conn: Arc::clone(out),
+    let ordered = id.is_none();
+    if ordered {
+        conn.paused.store(true, Ordering::Release);
+    }
+    let reply = Reply {
+        conn: Arc::clone(conn),
+        trace,
         id: id.clone(),
     };
-    if let Err(frame) = admit(request, shared, trace, wants_timings, reply) {
-        out.push(with_request_id(with_trace_id(frame, trace), &id));
-    }
-}
-
-/// Run `reload-repo` on a transient thread with the connection paused:
-/// rebuilding a detector is far too slow for the reactor thread, and
-/// the pause preserves the old inline ordering (no later frame on this
-/// connection is answered before the reload's own reply). A spawn
-/// failure is surfaced as a structured `internal_error`, never
-/// silenced.
-fn submit_reload(
-    shared: &Arc<Shared>,
-    out: &Arc<ConnShared>,
-    trace: u64,
-    id: Option<Json>,
-    path: Option<String>,
-) {
-    out.paused.store(true, Ordering::Release);
-    let shared2 = Arc::clone(shared);
-    let out2 = Arc::clone(out);
-    let id2 = id.clone();
-    let spawned = thread::Builder::new()
-        .name("sca-serve-reload".into())
-        .spawn(move || {
-            let mut frame = with_trace_id(reload_repo(&shared2, path.as_deref()), trace);
-            if let Some(id) = &id2 {
-                frame = with_request_id(frame, id);
-            }
-            out2.push_and_unpause(frame);
-        });
-    if spawned.is_err() {
-        shared.counters.spawn_errors.fetch_add(1, Ordering::Relaxed);
-        sca_telemetry::counter("serve.spawn_errors", 1);
-        let mut frame = with_trace_id(
-            error_frame(KIND_INTERNAL_ERROR, "cannot spawn the reload thread"),
-            trace,
-        );
-        if let Some(id) = &id {
-            frame = with_request_id(frame, id);
+    if let Err(refusal) = admit(request, shared, wants_timings, reply) {
+        conn.push(decorate(refusal, trace, id.as_ref()));
+        if ordered {
+            conn.unpause();
         }
-        out.push_and_unpause(frame);
     }
 }
 
@@ -2332,122 +2231,115 @@ fn compare_split(spans: &[SpanRecord]) -> (u64, u64) {
 }
 
 fn worker_loop(shared: &Arc<Shared>) {
-    while let Some(job) = shared.queue.pop() {
+    while let Some(task) = shared.queue.pop() {
         shared.busy_workers.fetch_add(1, Ordering::Relaxed);
-        // Key every span opened while handling this job — serve.request
-        // here, detect.scan and the compare spans inside the detector —
-        // to the request's trace id.
-        let trace = sca_telemetry::trace_scope(job.trace_id);
-        let mut sp = sca_telemetry::span("serve.request");
-        let queue_wait_ns = job.enqueued.elapsed().as_nanos() as u64;
-        sca_telemetry::record("serve.queue_wait_ns", queue_wait_ns);
-        let mut stages = Stages::default();
-        stages.push("queue_wait", queue_wait_ns);
-        // Panic isolation: a panic anywhere in the classify/model work
-        // must cost exactly one request, not a pool slot. Without the
-        // catch, the panicking worker thread dies silently, the pool
-        // shrinks forever, and the request's handler blocks on a reply
-        // channel whose sender was dropped mid-unwind. `Shared` state
-        // crossing the boundary is lock-protected with explicit
-        // poison-recovery (queue, repo slot, builder shards) or atomic,
-        // so observing it after an unwind is sound.
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            execute(shared, &job, &mut stages)
-        }));
-        let panicked = caught.is_err();
-        let frame = caught.unwrap_or_else(|payload| {
-            shared.counters.panics.fetch_add(1, Ordering::Relaxed);
-            sca_telemetry::counter("serve.panics", 1);
-            let what = payload
-                .downcast_ref::<&str>()
-                .copied()
-                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-                .unwrap_or("<non-string panic payload>");
-            error_frame(
-                KIND_INTERNAL_ERROR,
-                &format!("worker panicked serving the request: {what}"),
-            )
-        });
-        if sp.is_recording() {
-            sp.attr("ok", protocol::is_ok(&frame));
-        }
-        let latency_ns = job.enqueued.elapsed().as_nanos() as u64;
-        sca_telemetry::record("serve.latency_ns", latency_ns);
-        // Land the serve.request span, then drain this trace's spans out
-        // of the registry: they feed the timing detail and the slow-log
-        // dump, and draining them is what keeps a resident server's span
-        // log bounded.
-        drop(sp);
-        drop(trace);
-        let spans = if sca_telemetry::enabled() {
-            sca_telemetry::take_trace_spans(job.trace_id)
-        } else {
-            Vec::new()
-        };
-        let outcome = if panicked {
-            Outcome::Panic
-        } else if protocol::is_ok(&frame) {
-            Outcome::Ok
-        } else {
-            match protocol::error_kind(&frame).and_then(ErrorKind::parse) {
-                Some(ErrorKind::DeadlineExceeded) => Outcome::Timeout,
-                _ => Outcome::Error,
-            }
-        };
-        let verdict = frame
-            .get("detection")
-            .and_then(|d| d.get("attack"))
-            .and_then(|a| match a {
-                Json::Bool(true) => Some("attack".to_string()),
-                Json::Bool(false) => Some("benign".to_string()),
-                _ => None,
-            });
-        let summary = RequestSummary {
-            trace_id: job.trace_id,
-            name: job.kind().into(),
-            outcome,
-            verdict,
-            latency_ns,
-            stages: stages.entries.clone(),
-        };
-        let slow = shared
-            .config
-            .slow_ms
-            .is_some_and(|ms| latency_ns >= ms.saturating_mul(1_000_000));
-        if slow {
-            sca_telemetry::counter("serve.slow_requests", 1);
-            shared.write_slow_dump(&summary, &spans);
-        }
-        shared.flight.record(summary);
-        let frame = if job.wants_timings {
-            let detail = (!spans.is_empty()).then(|| compare_split(&spans));
-            match frame {
-                Json::Obj(mut fields) => {
-                    fields.push(("timings".into(), timings_json(latency_ns, &stages, detail)));
-                    Json::Obj(fields)
-                }
-                other => other,
-            }
-        } else {
-            frame
-        };
-        // `in_flight` is documented exact: it must drop *before* the
-        // reply leaves, or a client that pipelines `metrics` right
-        // behind a classify can observe its own answered request as
-        // still in flight. `busy_workers` stays eventually consistent
-        // (decremented after the send) by the same documentation.
-        shared.in_flight.fetch_sub(1, Ordering::Relaxed);
-        // A connection that went away closed its outbox; these are
-        // no-ops there.
-        match &job.reply {
-            Reply::Ordered { conn } => {
-                conn.push_and_unpause(with_trace_id(frame, job.trace_id));
-            }
-            Reply::Pipelined { conn, id } => {
-                conn.push(with_request_id(with_trace_id(frame, job.trace_id), id));
-            }
+        match task {
+            Task::Work(job) => serve_work(shared, &job),
+            Task::Stream {
+                stream,
+                increments,
+                reply,
+            } => serve_stream(shared, &stream, increments, &reply),
+            Task::Reload { path, reply } => serve_reload(shared, path.as_deref(), &reply),
         }
         shared.busy_workers.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// Serve one work request and account for it: latency histogram, flight
+/// entry, slow log, `in_flight`, and the reply.
+fn serve_work(shared: &Arc<Shared>, job: &Job) {
+    // Key every span opened while handling this job — serve.request
+    // here, detect.scan and the compare spans inside the detector — to
+    // the request's trace id.
+    let trace = sca_telemetry::trace_scope(job.reply.trace);
+    let mut sp = sca_telemetry::span("serve.request");
+    let queue_wait_ns = job.enqueued.elapsed().as_nanos() as u64;
+    sca_telemetry::record("serve.queue_wait_ns", queue_wait_ns);
+    let mut stages = Stages::default();
+    stages.push("queue_wait", queue_wait_ns);
+    // Panic isolation: a panic anywhere in the classify/model work must
+    // cost exactly one request, not a pool slot. Without the catch, the
+    // panicking worker thread dies silently, the pool shrinks forever,
+    // and an ordered request's connection stays paused. `Shared` state
+    // crossing the boundary is lock-protected with explicit
+    // poison-recovery (queue, repo slot, builder shards) or atomic, so
+    // observing it after an unwind is sound.
+    let caught = catch_unwind(AssertUnwindSafe(|| execute(shared, job, &mut stages)));
+    let panicked = caught.is_err();
+    let frame = caught.unwrap_or_else(|payload| {
+        let what = caught_panic(shared, &*payload);
+        error_frame(
+            KIND_INTERNAL_ERROR,
+            &format!("worker panicked serving the request: {what}"),
+        )
+    });
+    if sp.is_recording() {
+        sp.attr("ok", protocol::is_ok(&frame));
+    }
+    let latency_ns = job.enqueued.elapsed().as_nanos() as u64;
+    sca_telemetry::record("serve.latency_ns", latency_ns);
+    // Land the serve.request span, then drain this trace's spans out of
+    // the registry: they feed the timing detail and the slow-log dump,
+    // and draining them is what keeps a resident server's span log
+    // bounded.
+    drop(sp);
+    drop(trace);
+    let spans = if sca_telemetry::enabled() {
+        sca_telemetry::take_trace_spans(job.reply.trace)
+    } else {
+        Vec::new()
+    };
+    let outcome = if panicked {
+        Outcome::Panic
+    } else if protocol::is_ok(&frame) {
+        Outcome::Ok
+    } else {
+        match protocol::error_kind(&frame).and_then(ErrorKind::parse) {
+            Some(ErrorKind::DeadlineExceeded) => Outcome::Timeout,
+            _ => Outcome::Error,
+        }
+    };
+    let summary = RequestSummary {
+        trace_id: job.reply.trace,
+        name: request_kind(&job.request).into(),
+        outcome,
+        verdict: frame.get("detection").and_then(verdict),
+        latency_ns,
+        stages: stages.entries.clone(),
+    };
+    let slow = shared
+        .config
+        .slow_ms
+        .is_some_and(|ms| latency_ns >= ms.saturating_mul(1_000_000));
+    if slow {
+        sca_telemetry::counter("serve.slow_requests", 1);
+        shared.write_slow_dump(&summary, &spans);
+    }
+    shared.flight.record(summary);
+    let frame = if job.wants_timings {
+        let detail = (!spans.is_empty()).then(|| compare_split(&spans));
+        match frame {
+            Json::Obj(mut fields) => {
+                fields.push(("timings".into(), timings_json(latency_ns, &stages, detail)));
+                Json::Obj(fields)
+            }
+            other => other,
+        }
+    } else {
+        frame
+    };
+    // `in_flight` is documented exact: it must drop *before* the reply
+    // leaves, or a client that pipelines `metrics` right behind a
+    // classify can observe its own answered request as still in flight.
+    // `busy_workers` stays eventually consistent (decremented after the
+    // send) by the same documentation.
+    shared.in_flight.fetch_sub(1, Ordering::Relaxed);
+    // A connection that went away closed its outbox; these are no-ops
+    // there.
+    job.reply.send(frame);
+    if job.reply.id.is_none() {
+        job.reply.conn.unpause();
     }
 }
 
@@ -2463,7 +2355,9 @@ fn scan_loop(shared: &Arc<Shared>) {
             .as_ref()
             .is_none_or(|(generation, _)| *generation != task.repo.generation)
         {
-            cache = Some((task.repo.generation, task.repo.detector.clone()));
+            // A deep clone: cloning the `Arc` would put every scan
+            // thread back behind one detector's scan-state mutex.
+            cache = Some((task.repo.generation, Detector::clone(&task.repo.detector)));
         }
         let (_, detector) = cache.as_ref().expect("cache was just filled");
         // Key the scan's engine spans to the originating request; the
@@ -2661,7 +2555,7 @@ fn execute(shared: &Arc<Shared>, job: &Job, stages: &mut Stages) -> Json {
                 &model,
                 *threshold,
                 job.deadline,
-                job.trace_id,
+                job.reply.trace,
             );
             // Record how long the scan ran even when it aborts: that is
             // exactly the number a timeout post-mortem needs.
@@ -2709,7 +2603,7 @@ fn execute(shared: &Arc<Shared>, job: &Job, stages: &mut Stages) -> Json {
                             &model,
                             p.threshold,
                             job.deadline,
-                            job.trace_id,
+                            job.reply.trace,
                         );
                         scan_ns += scan_start.elapsed().as_nanos() as u64;
                         out

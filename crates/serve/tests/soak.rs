@@ -9,7 +9,10 @@
 //!   byte-identical to the offline `detection_json` pipeline;
 //! - parked connections survive past the io-timeout (they completed a
 //!   frame and owe nothing — only *stalled* peers are killed) and still
-//!   answer when woken.
+//!   answer when woken;
+//! - open watch streams cost no threads either: 256 of them, each pushed
+//!   once, are registry entries, and all end when their connections
+//!   close.
 //!
 //! Deliberately a single `#[test]`: the thread-count assertion reads
 //! `/proc/self/status`, and a concurrently running test spawning its
@@ -23,7 +26,7 @@ use std::time::Duration;
 use sca_attacks::poc::{self, PocParams};
 use sca_attacks::{AttackFamily, Sample};
 use sca_serve::protocol::{self, is_ok};
-use sca_serve::{spawn, Client, ServeConfig};
+use sca_serve::{spawn, Client, ServeConfig, WatchOptions};
 use sca_telemetry::Json;
 use scaguard::{
     detection_json, load_repository, save_repository, Detector, ModelBuilder, ModelRepository,
@@ -32,10 +35,15 @@ use scaguard::{
 
 /// How many idle connections the soak parks.
 const IDLE_CONNS: usize = 1024;
-/// Thread-count slack over the post-spawn baseline: transient watch /
-/// reload threads and the test harness itself. The point is the order
-/// of magnitude — 1024 connections must not add ~1024 (let alone
-/// ~2048) threads.
+/// How many watch streams the soak holds open.
+const OPEN_STREAMS: usize = 256;
+/// The connections the streams are spread over.
+const STREAM_CONNS: usize = 4;
+/// Thread-count slack over the post-spawn baseline: the test harness's
+/// own threads. The server starts no thread after `spawn` — it runs the
+/// reactor plus two threads per worker, whatever connections, streams
+/// or reloads it holds. The point is the order of magnitude — 1024
+/// connections or 256 streams must not add a thread each.
 const THREAD_SLACK: u64 = 16;
 
 /// Current thread count of this process, from `/proc/self/status`.
@@ -177,7 +185,61 @@ fn a_thousand_parked_connections_cost_no_threads_and_survive_the_timeout() {
     );
     assert_eq!(stats.conns_active, (IDLE_CONNS + 1) as u64);
 
+    // Hold a herd of open watch streams, each pushed once: an open
+    // stream is a registry entry, and a push borrows a worker only while
+    // its increments run.
+    let mut watchers: Vec<Client> = (0..STREAM_CONNS)
+        .map(|_| Client::connect(addr).expect("connect watcher"))
+        .collect();
+    for i in 0..OPEN_STREAMS {
+        let watcher = &mut watchers[i % STREAM_CONNS];
+        let ack = watcher
+            .watch_open(
+                &format!("watch-{i}"),
+                &target_src,
+                "shared:3",
+                &WatchOptions::default(),
+            )
+            .expect("open stream");
+        assert!(is_ok(&ack), "watch refused: {ack}");
+        let stream = ack.get("stream").and_then(Json::as_u64).expect("stream id");
+        let events = watcher.watch_push(stream, 1).expect("push");
+        assert!(events.iter().all(is_ok), "push failed: {events:?}");
+    }
+    let with_streams = process_threads();
+    assert!(
+        with_streams <= baseline + THREAD_SLACK,
+        "{OPEN_STREAMS} open streams grew the thread count {baseline} -> {with_streams}; \
+         open streams must not cost threads"
+    );
+    assert_eq!(streams_active(&mut client), OPEN_STREAMS as u64);
+
+    // Closing the connections ends their streams.
+    drop(watchers);
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    loop {
+        let active = streams_active(&mut client);
+        if active == 0 {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "streams_active stuck at {active} after the watchers closed"
+        );
+        std::thread::sleep(Duration::from_millis(25));
+    }
+
     drop(herd);
     handle.shutdown();
     handle.join();
+}
+
+/// The `streams_active` figure of a `stats` answer.
+fn streams_active(client: &mut Client) -> u64 {
+    let stats = client.stats().expect("stats");
+    stats
+        .get("stats")
+        .and_then(|s| s.get("streams_active"))
+        .and_then(Json::as_u64)
+        .expect("streams_active in stats")
 }

@@ -4,13 +4,17 @@
 //! entry without skewing the per-request latency histogram, and the
 //! `serve.streams_active` gauge always returns to zero.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::{Shutdown, TcpStream};
 use std::path::PathBuf;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use sca_attacks::poc::{self, PocParams};
 use sca_attacks::{AttackFamily, Sample};
-use sca_serve::protocol::{error_kind, is_ok, parse_victim, KIND_BAD_REQUEST};
+use sca_serve::protocol::{
+    error_kind, is_ok, parse_victim, Request, KIND_BAD_REQUEST, KIND_OVERLOADED,
+};
 use sca_serve::{spawn, Client, ClientConfig, ServeConfig, ServerHandle, WatchOptions};
 use sca_telemetry::Json;
 use scaguard::{
@@ -346,6 +350,184 @@ fn finish_reports_the_current_prefix_and_closes_the_stream() {
     // The stream is closed now.
     let events = client.watch_push(stream, 1).expect("answered");
     assert_eq!(error_kind(&events[0]), Some(KIND_BAD_REQUEST));
+
+    assert_streams_drain(&handle);
+    handle.shutdown();
+    handle.join();
+}
+
+/// A loop of 4,000 iterations: a trace long enough that a push of one
+/// instruction per increment can owe far more increments than run before
+/// a torn connection is noticed.
+const LONG_LOOP: &str = "        mov r0, 0
+spin:   ld r1, [0x1000]
+        add r0, 1
+        cmp r0, 4000
+        blt spin
+        halt
+";
+
+#[test]
+fn a_push_stops_soon_after_its_connection_is_torn() {
+    const OWED: u64 = 100_000;
+    let handle = spawn(ServeConfig::new(repo_path())).expect("spawn server");
+
+    // A raw socket, so the teardown can be abrupt: open the stream, ask
+    // for far more increments than the trace could ever run, read one
+    // event, then sever the connection.
+    let socket = TcpStream::connect(handle.addr()).expect("connect");
+    socket
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    let mut reader = BufReader::new(socket.try_clone().expect("clone"));
+    let mut writer = socket;
+    let open = Request::Watch {
+        name: "long-loop".into(),
+        program: LONG_LOOP.into(),
+        victim: "none".into(),
+        increment: Some(1),
+        threshold: None,
+        sustain: None,
+        deadline_ms: None,
+    };
+    writeln!(writer, "{}", open.to_json()).expect("write watch");
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("read ack");
+    let stream = stream_id(&Json::parse(line.trim_end()).expect("ack is JSON"));
+    let push = Request::WatchPush {
+        stream,
+        increments: OWED,
+    };
+    writeln!(writer, "{}", push.to_json()).expect("write push");
+    line.clear();
+    reader.read_line(&mut line).expect("first progress event");
+    let first = Json::parse(line.trim_end()).expect("event is JSON");
+    assert_eq!(
+        event_name(&first),
+        "progress",
+        "stream never started: {first}"
+    );
+    writer.shutdown(Shutdown::Both).expect("tear down");
+    drop(reader);
+    drop(writer);
+
+    // The push notices the closed connection at its next event and
+    // stops; the stream ends with it.
+    assert_streams_drain(&handle);
+    let watches: Vec<_> = handle
+        .flight()
+        .into_iter()
+        .filter(|r| r.name == "watch" && r.trace_id == stream)
+        .collect();
+    assert_eq!(watches.len(), 1, "one flight entry per stream");
+    let increments = watches[0]
+        .stages
+        .iter()
+        .find(|(n, _)| n == "increments")
+        .map(|(_, v)| *v)
+        .expect("increments stage");
+    assert!(
+        increments < OWED / 100,
+        "the torn push kept computing: {increments} of {OWED} increments ran"
+    );
+
+    handle.shutdown();
+    handle.join();
+}
+
+#[test]
+fn a_push_refused_by_a_full_queue_is_overloaded_and_the_stream_survives() {
+    let mut cfg = ServeConfig::new(repo_path());
+    cfg.workers = 1;
+    cfg.queue_depth = 1;
+    let handle = spawn(cfg).expect("spawn server");
+    let addr = handle.addr();
+    let mut client = Client::connect_with(addr, patient()).expect("connect");
+    let pp = poc::representative(AttackFamily::PrimeProbe, &PocParams::default());
+    let ack = client
+        .watch_open(
+            "pp-watch",
+            &pp.program.disasm(),
+            "conflict:3",
+            &WatchOptions::default(),
+        )
+        .expect("open");
+    let stream = stream_id(&ack);
+
+    // Two sleeping classifies: one holds the only worker, then the other
+    // the only queue slot. The second is sent only once the worker has
+    // taken the first, or the two could race for the one slot.
+    let fr = poc::representative(AttackFamily::FlushReload, &PocParams::default())
+        .program
+        .disasm();
+    let hold = |i: usize| {
+        let fr = fr.clone();
+        std::thread::spawn(move || {
+            let mut c = Client::connect_with(addr, patient()).expect("connect holder");
+            c.send(&Request::Classify {
+                name: format!("holder-{i}"),
+                program: fr,
+                victim: "shared:3".into(),
+                threshold: None,
+                deadline_ms: None,
+                debug_sleep_ms: 1_000,
+                debug_panic: false,
+            })
+            .expect("holder reply")
+        })
+    };
+    let mut probe = Client::connect_with(addr, patient()).expect("connect probe");
+    let mut wait_for = |busy: u64, queued: u64| {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let stats = probe.stats().expect("stats");
+            let stat = |k: &str| {
+                stats
+                    .get("stats")
+                    .and_then(|s| s.get(k))
+                    .and_then(Json::as_u64)
+            };
+            if stat("busy_workers") == Some(busy) && stat("queue_depth") == Some(queued) {
+                return;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "never reached {busy} busy, {queued} queued: {stats}"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    };
+    let mut holders = vec![hold(0)];
+    wait_for(1, 0);
+    holders.push(hold(1));
+    wait_for(1, 1);
+
+    // The push is shed: a retryable error event that names the stream
+    // and ends the push.
+    let events = client.watch_push(stream, 1).expect("answered");
+    assert_eq!(events.len(), 1, "{events:?}");
+    assert_eq!(
+        error_kind(&events[0]),
+        Some(KIND_OVERLOADED),
+        "{}",
+        events[0]
+    );
+    assert_eq!(events[0].get("stream").and_then(Json::as_u64), Some(stream));
+    assert_eq!(events[0].get("last"), Some(&Json::Bool(true)));
+    for holder in holders {
+        let reply = holder.join().expect("join holder");
+        assert!(is_ok(&reply), "holder failed: {reply}");
+    }
+
+    // The stream stayed open: a later push runs.
+    let events = client.watch_push(stream, 1).expect("push after the shed");
+    assert!(
+        events.iter().all(is_ok),
+        "push after the shed failed: {events:?}"
+    );
+    assert!(events.iter().any(|e| event_name(e) == "progress"));
+    let events = client.watch_finish(stream).expect("finish");
+    assert_eq!(events.last().map(event_name), Some("done"));
 
     assert_streams_drain(&handle);
     handle.shutdown();

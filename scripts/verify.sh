@@ -189,12 +189,6 @@ awk '$1 == "serve.panics" && $2 + 0 > 0 { bad = 1 } END { exit bad }' \
 kill "$OBS_PID" 2>/dev/null || true
 OBS_PID=""
 
-echo "==> streaming bench smoke"
-# Prefix byte-identity (streamed models == batch prefix models) plus the
-# default alarm policy's invariants (no benign false alarms, early
-# alarms) at reduced scale.
-cargo run -p sca-bench --release --offline --bin streaming_bench -- --smoke
-
 echo "==> streaming watch smoke"
 # A live release server, then `scaguard watch` end to end: the enrolled
 # FR PoC must raise its ALARM before the trace ends (the alarm line

@@ -4,10 +4,11 @@
 //! A `--variants 2` repository classifies a fixed set of seeded programs
 //! that are in no repository, each in its own `scaguard classify --json
 //! --telemetry` process. For every program the test pins the stdout byte
-//! count and four counters from the child's JSONL: `index.full_dtw_runs`,
-//! `index.entries_skipped`, `dtw.cells` and `simcache.misses` (the `D_IS`
-//! instruction-distance cache misses). Wall-clock speed varies from
-//! run to run; these counts do not. A change that moves one of them fails
+//! count and five counters from the child's JSONL: `index.full_dtw_runs`,
+//! `index.entries_skipped`, `dtw.cells`, `simcache.misses` (the `D_IS`
+//! instruction-distance cache misses) and `cpu.instructions_retired` (the
+//! simulated instructions modeling the target ran). Wall-clock speed
+//! varies from run to run; these counts do not. A change that moves one of them fails
 //! here on any machine, and updates the pins in the same diff with its
 //! reason in CHANGES.md.
 
@@ -25,14 +26,17 @@ const LEDGER_SEED: u64 = 0x1ed6_e201;
 
 /// The pins, in program order (one mutant per family, then two benign
 /// programs): name, stdout bytes, `index.full_dtw_runs`,
-/// `index.entries_skipped`, `dtw.cells`, `simcache.misses`.
-const PINNED: [(&str, usize, u64, u64, u64, u64); 6] = [
-    ("ledger-0", 123, 2, 9, 348, 212),
-    ("ledger-1", 122, 1, 11, 256, 132),
-    ("ledger-2", 128, 1, 9, 388, 197),
-    ("ledger-3", 133, 1, 10, 460, 201),
-    ("ledger-4", 128, 4, 8, 200, 119),
-    ("ledger-5", 129, 5, 7, 396, 174),
+/// `index.entries_skipped`, `dtw.cells`, `simcache.misses`,
+/// `cpu.instructions_retired`.
+type Pin = (&'static str, usize, u64, u64, u64, u64, u64);
+
+const PINNED: [Pin; 6] = [
+    ("ledger-0", 123, 2, 9, 348, 212, 849),
+    ("ledger-1", 122, 1, 11, 256, 132, 5464),
+    ("ledger-2", 128, 1, 9, 388, 197, 1263),
+    ("ledger-3", 133, 1, 10, 460, 201, 20076),
+    ("ledger-4", 128, 4, 8, 200, 119, 1786),
+    ("ledger-5", 129, 5, 7, 396, 174, 1968),
 ];
 
 fn scaguard(args: &[&str]) -> std::process::Output {
@@ -116,6 +120,7 @@ fn scan_work_and_output_bytes_match_the_ledger() {
             counter(&text, "index.entries_skipped"),
             counter(&text, "dtw.cells"),
             counter(&text, "simcache.misses"),
+            counter(&text, "cpu.instructions_retired"),
         ));
     }
     fs::remove_dir_all(&dir).ok();
