@@ -22,12 +22,13 @@ use sca_attacks::layout::{prime_addr, LINE, LLC_SETS, MONITOR_SET_BASE, VICTIM_C
 use sca_attacks::mutate::MutationConfig;
 use sca_attacks::poc::{self, PocParams};
 use sca_attacks::{AttackFamily, Sample};
-use sca_bench::fixture_builder;
 use sca_cache::{CacheConfig, ReplacementPolicy};
 use sca_cpu::{CpuConfig, Machine, Victim};
 use sca_isa::{AluOp, Cond, MemRef, ProgramBuilder, Reg};
 use scaguard::similarity::{csp_distance, instruction_distance};
-use scaguard::{cst_distance, dtw, model_from_blocks, CstBbs, CstStep, ModelingConfig};
+use scaguard::{
+    build_model, cst_distance, dtw, model_from_blocks, CstBbs, CstStep, ModelingConfig,
+};
 
 const N_PER_FAMILY: usize = 5;
 const N_BENIGN: usize = 10;
@@ -42,15 +43,10 @@ struct Fixture {
 
 fn build_fixture(config: &ModelingConfig) -> Fixture {
     let params = PocParams::default();
-    // `build_with` keys the shared fixture cache by `config`, and configs
-    // differing only in the replay-cache geometry (the policy ablation)
-    // reuse the execute/collect/graph stage outright.
     let model = |s: &Sample| {
-        fixture_builder()
-            .build_with(&s.program, &s.victim, config)
+        build_model(&s.program, &s.victim, config)
             .expect("model")
             .cst_bbs
-            .clone()
     };
     let repo = AttackFamily::ALL
         .iter()
@@ -154,9 +150,7 @@ fn graph_ablation() {
     let config = ModelingConfig::default();
     let params = PocParams::default();
     let naive_model = |s: &Sample| {
-        let out = fixture_builder()
-            .build_with(&s.program, &s.victim, &config)
-            .expect("model");
+        let out = build_model(&s.program, &s.victim, &config).expect("model");
         model_from_blocks(
             &s.program,
             &out.cfg,
@@ -166,11 +160,9 @@ fn graph_ablation() {
         )
     };
     let algo_model = |s: &Sample| {
-        fixture_builder()
-            .build_with(&s.program, &s.victim, &config)
+        build_model(&s.program, &s.victim, &config)
             .expect("model")
             .cst_bbs
-            .clone()
     };
 
     type Modeler<'a> = &'a dyn Fn(&Sample) -> CstBbs;

@@ -51,10 +51,11 @@ fn build_workload(per_type: usize, benign_total: usize) -> Workload {
         samples.extend(mutated_family(family, per_type, SEED, &mutation));
     }
     samples.extend(benign::generate_mix(benign_total, SEED ^ 0xbe));
+    let targets: Vec<_> = samples.iter().map(|s| (&s.program, &s.victim)).collect();
     let targets = builder
-        .build_samples(&samples)
+        .build_batch_cst(&targets)
         .into_iter()
-        .map(|r| r.expect("target models").cst_bbs.clone())
+        .map(|r| (*r.expect("target models")).clone())
         .collect();
     Workload { repo, targets }
 }
@@ -151,13 +152,12 @@ fn build_variant_models(total: usize) -> Vec<(AttackFamily, String, CstBbs)> {
             samples.push(sample);
         }
     }
-    let models = builder.build_samples(&samples);
+    let targets: Vec<_> = samples.iter().map(|s| (&s.program, &s.victim)).collect();
+    let models = builder.build_batch_cst(&targets);
     labels
         .into_iter()
         .zip(models)
-        .map(|((family, name), model)| {
-            (family, name, model.expect("variant models").cst_bbs.clone())
-        })
+        .map(|((family, name), model)| (family, name, (*model.expect("variant models")).clone()))
         .collect()
 }
 

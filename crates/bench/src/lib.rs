@@ -15,11 +15,9 @@
 
 pub mod harness;
 
-use std::sync::OnceLock;
-
 use sca_attacks::poc::{self, PocParams};
 use sca_attacks::{AttackFamily, Sample};
-use scaguard::{CstBbs, ModelBuilder, ModelingConfig, ModelingOutcome};
+use scaguard::{build_model, CstBbs, ModelingConfig};
 
 /// The default fixture parameters used by benches and ablations.
 pub fn fixture_params() -> PocParams {
@@ -35,34 +33,23 @@ pub fn fixture_pocs() -> Vec<(AttackFamily, Sample)> {
         .collect()
 }
 
-/// The process-wide fixture [`ModelBuilder`] (default configuration):
-/// bench groups and ablations that model the same PoCs share one
-/// content-addressed cache instead of re-running the pipeline.
-pub fn fixture_builder() -> &'static ModelBuilder {
-    static BUILDER: OnceLock<ModelBuilder> = OnceLock::new();
-    BUILDER.get_or_init(|| ModelBuilder::new(&ModelingConfig::default()))
-}
-
-/// Model one sample with the default configuration (served by
-/// [`fixture_builder`]).
+/// A pair of CST-BBS models for similarity benches: two different
+/// Flush+Reload implementations.
 ///
 /// # Panics
 ///
 /// Panics if modeling fails (fixtures are known-good).
-pub fn fixture_model(sample: &Sample) -> ModelingOutcome {
-    (*fixture_builder()
-        .build(&sample.program, &sample.victim)
-        .expect("fixture models"))
-    .clone()
-}
-
-/// A pair of CST-BBS models for similarity benches: two different
-/// Flush+Reload implementations.
 pub fn fixture_model_pair() -> (CstBbs, CstBbs) {
     let params = fixture_params();
-    let a = fixture_model(&poc::flush_reload_iaik(&params)).cst_bbs;
-    let b = fixture_model(&poc::flush_reload_mastik(&params)).cst_bbs;
-    (a, b)
+    let model = |s: Sample| {
+        build_model(&s.program, &s.victim, &ModelingConfig::default())
+            .expect("fixture models")
+            .cst_bbs
+    };
+    (
+        model(poc::flush_reload_iaik(&params)),
+        model(poc::flush_reload_mastik(&params)),
+    )
 }
 
 #[cfg(test)]

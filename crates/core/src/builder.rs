@@ -1,192 +1,73 @@
 //! Parallel, content-addressed model construction.
 //!
-//! PR 2 made the similarity back end the fast half of the pipeline; the
-//! front end still paid a full serial [`build_model`] pass per target, one
-//! program at a time, from every eval round, bench binary, and baseline
-//! adapter. Trace→model construction is embarrassingly parallel across
-//! targets and highly redundant across repeated configs (threshold sweeps
-//! re-model the same samples per round; mutated PoC variants share most of
-//! their basic blocks), so the [`ModelBuilder`] attacks both:
+//! Detection compares finished CST-BBS models, so the [`ModelBuilder`] is
+//! a bounded store of exactly those, in front of [`build_model`]:
 //!
-//! - **Parallelism**: [`ModelBuilder::build_batch`] fans a batch out over
-//!   std-only `thread::scope` workers (mirroring `engine.rs` — no new
+//! - **Parallelism**: [`ModelBuilder::build_batch_cst`] fans a batch out
+//!   over std-only `thread::scope` workers (mirroring `engine.rs` — no new
 //!   deps) with an index-ordered merge, so results come back in input
 //!   order and byte-identical to the serial path for any job count.
-//! - **Content-addressed caching**: every finished model is stored under a
-//!   [`ModelKey`] — a stable FNV-1a hash of a canonical rendering of
-//!   (program instructions, victim, [`ModelingConfig`]) — in a bounded
-//!   in-memory store with optional on-disk persistence (the
-//!   `scaguard-modelcache v1` text format of [`crate::persist`]).
-//! - **Stage memoization**: the trace + attack-relevant-graph stage (which
-//!   includes the capped path enumeration of Algorithm 1) is cached under
-//!   the key *minus* the CST-replay cache geometry, so configs differing
-//!   only in `cst_cache` (replay-policy ablations) reuse the expensive
-//!   execute/collect/graph work. Per-block CST replays are memoized in a
-//!   shared [`ReplayMemo`] keyed by the byte-exact replay input.
+//! - **Content addressing**: every finished model is stored under its
+//!   canonical key — a single-line rendering of everything the pipeline
+//!   reads: program instructions, victim, and the builder's
+//!   [`ModelingConfig`] — in a bounded FIFO store with optional on-disk
+//!   persistence (the `scaguard-modelcache v1` text format of
+//!   [`crate::persist`]).
 //!
 //! ## Soundness
 //!
-//! Every cache layer keys on *everything* the stage it short-circuits
-//! reads, and nothing else:
+//! A miss runs [`build_model`] with the builder's one config and keeps
+//! only its model, so a served model equals the serial pipeline's by
+//! construction. The key renders the program's instructions, the victim,
+//! the CPU config, `path_cap` and the CST-replay cache geometry — all
+//! that [`build_model`] reads. Program *name* and generator *tags* are
+//! deliberately excluded: no modeling stage reads them, so two
+//! differently-named but instruction-identical programs share one entry.
+//! Lookups compare the whole key, so two programs can never alias.
 //!
-//! - `measure_cst` reads the per-instruction kind/access list and the full
-//!   replay [`sca_cache::CacheConfig`]; the [`ReplayMemo`] key encodes
-//!   exactly those bytes.
-//! - `collect_and_graph` reads the program's instructions, the victim, the
-//!   CPU configuration, and `path_cap`; the stage key renders exactly
-//!   those. Program *name* and generator *tags* are deliberately excluded:
-//!   no modeling stage reads them, so two differently-named but
-//!   instruction-identical programs share one cache entry.
-//! - `finish_model` additionally reads `cst_cache`; the full key appends
-//!   it.
-//!
-//! Hash collisions can never alias entries: stores bucket by hash but
-//! always compare the full canonical key before returning a value (see the
-//! collision tests below). Because every memoized stage is a pure function
-//! of its full key and the batch merge is index-ordered, builder output is
-//! byte-identical to serial [`build_models`] — warm or cold, any `jobs`.
+//! [`build_model`]: crate::modeling::build_model
 
 use std::collections::{HashMap, VecDeque};
+use std::fmt::Write as _;
+use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use sca_attacks::Sample;
 use sca_cpu::Victim;
 use sca_isa::Program;
 
 use crate::cst::CstBbs;
-use crate::modeling::{
-    collect_and_graph, finish_model, fnv1a, ModelError, ModelingConfig, ModelingOutcome,
-    ReplayMemo, TraceGraph,
-};
+use crate::modeling::{build_model, ModelError, ModelingConfig};
 use crate::persist::{self, LoadRepoError};
 
-/// Default bound on each in-memory store (models and stages separately).
-const DEFAULT_CAPACITY: usize = 4096;
+/// Bound on the model store (FIFO eviction).
+const CAPACITY: usize = 4096;
 
-/// Content address of one model: a stable hash plus the canonical key it
-/// was computed from. The canonical key is a single-line rendering of
-/// everything the modeling pipeline reads — program instructions, victim,
-/// CPU config, path cap, and (for the full key) the CST-replay cache
-/// config. Lookups compare the canonical key byte-for-byte, never the
-/// hash alone.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ModelKey {
-    hash: u64,
-    canonical: String,
+/// A bounded store of finished models under their canonical keys,
+/// evicting the oldest entry first. The map and the eviction queue share
+/// each key's bytes.
+#[derive(Debug, Default)]
+struct Store {
+    models: HashMap<Arc<str>, Arc<CstBbs>>,
+    order: VecDeque<Arc<str>>,
 }
 
-impl ModelKey {
-    /// The full key: everything [`build_model`] reads.
-    pub fn new(program: &Program, victim: &Victim, config: &ModelingConfig) -> ModelKey {
-        let canonical = format!(
-            "{} | cst_cache {:?}",
-            stage_canonical(program, victim, config),
-            config.cst_cache
-        );
-        ModelKey::from_canonical(canonical)
+impl Store {
+    fn get(&self, key: &str) -> Option<Arc<CstBbs>> {
+        self.models.get(key).cloned()
     }
 
-    /// Rebuild a key from its canonical form (the hash is recomputed, so a
-    /// corrupted or foreign hash can never alias an entry).
-    fn from_canonical(canonical: String) -> ModelKey {
-        ModelKey {
-            hash: fnv1a(canonical.as_bytes()),
-            canonical,
-        }
-    }
-
-    /// The stable content hash.
-    pub fn hash(&self) -> u64 {
-        self.hash
-    }
-
-    /// The canonical key string.
-    pub fn canonical(&self) -> &str {
-        &self.canonical
-    }
-
-    /// Test-only: a key with a forced hash, for exercising collision
-    /// handling.
-    #[cfg(test)]
-    fn with_forced_hash(hash: u64, canonical: &str) -> ModelKey {
-        ModelKey {
-            hash,
-            canonical: canonical.to_string(),
-        }
-    }
-}
-
-/// Canonical rendering of the *stage* inputs — everything
-/// `collect_and_graph` reads (no `cst_cache`). `Debug` for these types is
-/// single-line and structural, and the rendered fields are exactly the
-/// pipeline's inputs, so equal strings imply equal stage outputs.
-fn stage_canonical(program: &Program, victim: &Victim, config: &ModelingConfig) -> String {
-    format!(
-        "insts {:?} | victim {:?} | cpu {:?} | path_cap {}",
-        program.insts(),
-        victim,
-        config.cpu,
-        config.path_cap
-    )
-}
-
-/// A cached model: the detection model always, the full outcome when this
-/// process built it (disk-loaded entries carry the model only — the
-/// intermediate artifacts are not persisted).
-#[derive(Debug, Clone)]
-struct CachedModel {
-    outcome: Option<Arc<ModelingOutcome>>,
-    model: Arc<CstBbs>,
-}
-
-/// A bounded content-addressed store: hash buckets with full-canonical-key
-/// comparison and FIFO eviction.
-#[derive(Debug)]
-struct Store<V> {
-    map: HashMap<u64, Vec<(String, V)>>,
-    order: VecDeque<(u64, String)>,
-    capacity: usize,
-}
-
-impl<V: Clone> Store<V> {
-    fn new(capacity: usize) -> Store<V> {
-        Store {
-            map: HashMap::new(),
-            order: VecDeque::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    fn get(&self, key: &ModelKey) -> Option<V> {
-        self.map.get(&key.hash)?.iter().find_map(|(k, v)| {
-            if *k == key.canonical {
-                Some(v.clone())
-            } else {
-                None
-            }
-        })
-    }
-
-    /// Insert (or replace) the value for `key`, evicting the oldest entry
+    /// Insert (or replace) the model for `key`, evicting the oldest entry
     /// when over capacity.
-    fn insert(&mut self, key: &ModelKey, value: V) {
-        let bucket = self.map.entry(key.hash).or_default();
-        if let Some(slot) = bucket.iter_mut().find(|(k, _)| *k == key.canonical) {
-            slot.1 = value;
+    fn insert(&mut self, key: Arc<str>, model: Arc<CstBbs>) {
+        if self.models.insert(Arc::clone(&key), model).is_some() {
             return;
         }
-        bucket.push((key.canonical.clone(), value));
-        self.order.push_back((key.hash, key.canonical.clone()));
-        while self.order.len() > self.capacity {
-            let (hash, canonical) = self.order.pop_front().expect("nonempty");
-            if let Some(bucket) = self.map.get_mut(&hash) {
-                bucket.retain(|(k, _)| *k != canonical);
-                if bucket.is_empty() {
-                    self.map.remove(&hash);
-                }
-            }
+        self.order.push_back(key);
+        if self.order.len() > CAPACITY {
+            let oldest = self.order.pop_front().expect("nonempty");
+            self.models.remove(&oldest);
         }
     }
 
@@ -194,50 +75,38 @@ impl<V: Clone> Store<V> {
         self.order.len()
     }
 
-    /// All `(canonical key, value)` pairs in insertion order.
-    fn entries(&self) -> impl Iterator<Item = (&str, &V)> {
-        self.order.iter().filter_map(|(hash, canonical)| {
-            self.map.get(hash).and_then(|bucket| {
-                bucket
-                    .iter()
-                    .find(|(k, _)| k == canonical)
-                    .map(|(k, v)| (k.as_str(), v))
-            })
-        })
+    /// All `(canonical key, model)` pairs in insertion order.
+    fn entries(&self) -> impl Iterator<Item = (&str, &CstBbs)> {
+        self.order
+            .iter()
+            .map(|key| (&**key, self.models[key].as_ref()))
     }
 }
 
 /// Cache-effectiveness counters of one [`ModelBuilder`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BuilderStats {
-    /// Full-model cache hits (outcome or model served without rebuilding).
+    /// Models served from the store without rebuilding.
     pub hits: u64,
-    /// Full-model cache misses.
+    /// Models built because the store did not hold them.
     pub misses: u64,
-    /// Trace+graph stage served from the stage cache.
-    pub stage_hits: u64,
-    /// Per-block CST replays served from the replay memo.
-    pub replays_memoized: u64,
-    /// Per-block CST replays actually simulated.
-    pub replays_simulated: u64,
 }
 
-/// Batch model-construction engine: parallel across targets, with
-/// content-addressed model/stage caches and a shared CST-replay memo. See
-/// the module docs for the soundness argument.
+/// Batch model-construction engine: parallel across targets, with a
+/// bounded content-addressed store of finished models. See the module
+/// docs for the soundness argument.
 ///
 /// All methods take `&self`; the builder is internally synchronized and
 /// can be shared across threads (e.g. behind an [`Arc`]).
 #[derive(Debug)]
 pub struct ModelBuilder {
     config: ModelingConfig,
+    /// The config part of every key, rendered once.
+    config_key: String,
     jobs: usize,
-    models: Mutex<Store<CachedModel>>,
-    stages: Mutex<Store<Arc<TraceGraph>>>,
-    memo: ReplayMemo,
+    store: Mutex<Store>,
     hits: AtomicU64,
     misses: AtomicU64,
-    stage_hits: AtomicU64,
     disk_path: Option<PathBuf>,
     dirty: AtomicBool,
 }
@@ -247,18 +116,18 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
 }
 
 impl ModelBuilder {
-    /// A builder for `config` with a single worker and the default store
-    /// capacity.
+    /// A builder for `config` with a single worker.
     pub fn new(config: &ModelingConfig) -> ModelBuilder {
         ModelBuilder {
             config: config.clone(),
+            config_key: format!(
+                " | cpu {:?} | path_cap {} | cst_cache {:?}",
+                config.cpu, config.path_cap, config.cst_cache
+            ),
             jobs: 1,
-            models: Mutex::new(Store::new(DEFAULT_CAPACITY)),
-            stages: Mutex::new(Store::new(DEFAULT_CAPACITY)),
-            memo: ReplayMemo::default(),
+            store: Mutex::default(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            stage_hits: AtomicU64::new(0),
             disk_path: None,
             dirty: AtomicBool::new(false),
         }
@@ -272,214 +141,106 @@ impl ModelBuilder {
         self
     }
 
-    /// Bound both in-memory stores at `capacity` entries (FIFO eviction).
+    /// Attach an on-disk cache file: [`ModelBuilder::load_disk_cache`]
+    /// reads its models into the store and
+    /// [`ModelBuilder::save_disk_cache`] writes the store back.
     #[must_use]
-    pub fn with_capacity(mut self, capacity: usize) -> ModelBuilder {
-        self.models = Mutex::new(Store::new(capacity));
-        self.stages = Mutex::new(Store::new(capacity));
+    pub fn with_disk_cache(mut self, path: impl AsRef<Path>) -> ModelBuilder {
+        self.disk_path = Some(path.as_ref().to_path_buf());
         self
     }
 
-    /// Attach an on-disk cache file. If it exists its entries are loaded
-    /// (models only — intermediate artifacts are not persisted); a
-    /// missing file is an empty cache. [`ModelBuilder::save_disk_cache`]
-    /// writes the store back.
+    /// Load the attached cache file's models into the store. A missing
+    /// file, or no attached file, is an empty cache.
     ///
     /// # Errors
     ///
-    /// Returns [`LoadRepoError`] when the file exists but cannot be read
-    /// or parsed.
-    pub fn with_disk_cache(
-        mut self,
-        path: impl AsRef<Path>,
-    ) -> Result<ModelBuilder, LoadRepoError> {
-        let path = path.as_ref().to_path_buf();
-        if path.exists() {
-            let entries = persist::load_model_cache(&path)?;
-            let mut models = lock(&self.models);
-            for (canonical, model) in entries {
-                let key = ModelKey::from_canonical(canonical);
-                models.insert(
-                    &key,
-                    CachedModel {
-                        outcome: None,
-                        model: Arc::new(model),
-                    },
-                );
+    /// Returns [`LoadRepoError::Io`] when the file exists but cannot be
+    /// read, and [`LoadRepoError::Parse`] when it is malformed (a torn
+    /// save, a foreign file). A malformed file loads nothing and is
+    /// rewritten by the next [`ModelBuilder::save_disk_cache`].
+    pub fn load_disk_cache(&self) -> Result<(), LoadRepoError> {
+        let Some(path) = &self.disk_path else {
+            return Ok(());
+        };
+        let entries = match persist::load_model_cache(path) {
+            Ok(entries) => entries,
+            Err(LoadRepoError::Io { error, .. }) if error.kind() == ErrorKind::NotFound => {
+                return Ok(())
             }
+            Err(e @ LoadRepoError::Parse { .. }) => {
+                self.dirty.store(true, Ordering::Relaxed);
+                return Err(e);
+            }
+            Err(e) => return Err(e),
+        };
+        let mut store = lock(&self.store);
+        for (key, model) in entries {
+            store.insert(key.into(), Arc::new(model));
         }
-        drop(self.disk_path.replace(path));
-        Ok(self)
-    }
-
-    /// The modeling configuration all builds use.
-    pub fn config(&self) -> &ModelingConfig {
-        &self.config
-    }
-
-    /// The batch worker count.
-    pub fn jobs(&self) -> usize {
-        self.jobs
+        Ok(())
     }
 
     /// Snapshot of the cache counters.
     pub fn stats(&self) -> BuilderStats {
-        let (memoized, simulated) = self.memo.counts();
         BuilderStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            stage_hits: self.stage_hits.load(Ordering::Relaxed),
-            replays_memoized: memoized,
-            replays_simulated: simulated,
         }
     }
 
-    /// Build (or recall) the full modeling outcome for one target.
+    /// The canonical key of one target:
+    /// `insts … | victim … | cpu … | path_cap … | cst_cache …`. Existing
+    /// `scaguard-modelcache v1` files hold keys in exactly this form.
+    fn key(&self, program: &Program, victim: &Victim) -> String {
+        let mut key = String::with_capacity(64 * program.insts().len() + self.config_key.len());
+        write!(key, "insts {:?} | victim {victim:?}", program.insts()).expect("write to String");
+        key.push_str(&self.config_key);
+        key
+    }
+
+    /// Build (or recall) the detection model for one target.
     ///
     /// # Errors
     ///
     /// Propagates [`ModelError`] from the pipeline. Errors are not
     /// cached; a failing target is retried on every call.
-    pub fn build(
-        &self,
-        program: &Program,
-        victim: &Victim,
-    ) -> Result<Arc<ModelingOutcome>, ModelError> {
-        self.build_with(program, victim, &self.config)
-    }
-
-    /// [`ModelBuilder::build`] under a one-off configuration override.
-    /// The cache keys embed the config, so one builder safely serves many
-    /// configs — and configs differing only in `cst_cache` (the
-    /// replay-policy ablations) share stage-cache entries.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ModelError`] from the pipeline.
-    pub fn build_with(
-        &self,
-        program: &Program,
-        victim: &Victim,
-        config: &ModelingConfig,
-    ) -> Result<Arc<ModelingOutcome>, ModelError> {
-        let mut sp = sca_telemetry::span("builder.build");
-        let key = ModelKey::new(program, victim, config);
-        let cached = lock(&self.models).get(&key);
-        if let Some(CachedModel {
-            outcome: Some(outcome),
-            ..
-        }) = cached
-        {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            if sp.is_recording() {
-                sp.attr("program", program.name());
-                sp.attr("cached", true);
-                sca_telemetry::counter("modelcache.hits", 1);
-            }
-            return Ok(outcome);
-        }
-        // A disk-loaded (model-only) entry cannot serve a full outcome:
-        // rebuild it — stage cache and replay memo still apply — and
-        // upgrade the entry.
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let outcome = Arc::new(self.rebuild(program, victim, config)?);
-        let entry = CachedModel {
-            model: Arc::new(outcome.cst_bbs.clone()),
-            outcome: Some(Arc::clone(&outcome)),
-        };
-        lock(&self.models).insert(&key, entry);
-        self.dirty.store(true, Ordering::Relaxed);
-        if sp.is_recording() {
-            sp.attr("program", program.name());
-            sp.attr("cached", false);
-            sca_telemetry::counter("modelcache.misses", 1);
-        }
-        Ok(outcome)
-    }
-
-    /// Build (or recall) just the detection model for one target. Unlike
-    /// [`ModelBuilder::build`], this is served directly by disk-loaded
-    /// entries.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ModelError`] from the pipeline.
     pub fn build_cst(&self, program: &Program, victim: &Victim) -> Result<Arc<CstBbs>, ModelError> {
         let mut sp = sca_telemetry::span("builder.build");
-        let key = ModelKey::new(program, victim, &self.config);
-        if let Some(cached) = lock(&self.models).get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            if sp.is_recording() {
-                sp.attr("program", program.name());
-                sp.attr("cached", true);
-                sca_telemetry::counter("modelcache.hits", 1);
+        let key = self.key(program, victim);
+        // The lookup's guard drops at the end of this statement: workers
+        // sharing the builder never model under the store lock.
+        let cached = lock(&self.store).get(&key);
+        let hit = cached.is_some();
+        let model = match cached {
+            Some(model) => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                model
             }
-            return Ok(cached.model);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let outcome = Arc::new(self.rebuild(program, victim, &self.config)?);
-        let model = Arc::new(outcome.cst_bbs.clone());
-        let entry = CachedModel {
-            model: Arc::clone(&model),
-            outcome: Some(outcome),
+            None => {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                let model = Arc::new(build_model(program, victim, &self.config)?.cst_bbs);
+                lock(&self.store).insert(key.into(), Arc::clone(&model));
+                self.dirty.store(true, Ordering::Relaxed);
+                model
+            }
         };
-        lock(&self.models).insert(&key, entry);
-        self.dirty.store(true, Ordering::Relaxed);
         if sp.is_recording() {
             sp.attr("program", program.name());
-            sp.attr("cached", false);
-            sca_telemetry::counter("modelcache.misses", 1);
+            sp.attr("cached", hit);
+            let counter = if hit {
+                "modelcache.hits"
+            } else {
+                "modelcache.misses"
+            };
+            sca_telemetry::counter(counter, 1);
         }
         Ok(model)
     }
 
-    /// Run the pipeline for a cache miss, via the stage cache and the
-    /// shared replay memo.
-    fn rebuild(
-        &self,
-        program: &Program,
-        victim: &Victim,
-        config: &ModelingConfig,
-    ) -> Result<ModelingOutcome, ModelError> {
-        let stage_key = ModelKey::from_canonical(stage_canonical(program, victim, config));
-        // Bind the lookup first: a `match` scrutinee would keep the guard
-        // alive into the `None` arm and deadlock on the re-lock below.
-        let cached_stage = lock(&self.stages).get(&stage_key);
-        let tg = match cached_stage {
-            Some(tg) => {
-                self.stage_hits.fetch_add(1, Ordering::Relaxed);
-                tg
-            }
-            None => {
-                let tg = Arc::new(collect_and_graph(program, victim, config)?);
-                lock(&self.stages).insert(&stage_key, Arc::clone(&tg));
-                tg
-            }
-        };
-        Ok(finish_model(program, config, &tg, Some(&self.memo)))
-    }
-
-    /// Build a whole batch, fanning out over [`ModelBuilder::jobs`]
-    /// workers. Results are in `targets` order; each is byte-identical to
-    /// a serial [`build_model`] of the same target.
-    pub fn build_batch(
-        &self,
-        targets: &[(&Program, &Victim)],
-    ) -> Vec<Result<Arc<ModelingOutcome>, ModelError>> {
-        self.build_batch_jobs(targets, self.jobs)
-    }
-
-    /// [`ModelBuilder::build_batch`] with a one-off worker count.
-    pub fn build_batch_jobs(
-        &self,
-        targets: &[(&Program, &Victim)],
-        jobs: usize,
-    ) -> Vec<Result<Arc<ModelingOutcome>, ModelError>> {
-        self.batch(targets, jobs, |p, v| self.build(p, v))
-    }
-
-    /// [`ModelBuilder::build_batch`], returning just the detection
-    /// models.
+    /// Build a whole batch, fanning out over the builder's workers.
+    /// Results are in `targets` order; each is byte-identical to a serial
+    /// [`crate::modeling::build_model`] of the same target.
     pub fn build_batch_cst(
         &self,
         targets: &[(&Program, &Victim)],
@@ -487,34 +248,14 @@ impl ModelBuilder {
         self.build_batch_cst_jobs(targets, self.jobs)
     }
 
-    /// [`ModelBuilder::build_batch_cst`] with a one-off worker count.
+    /// [`ModelBuilder::build_batch_cst`] with a one-off worker count:
+    /// index-claimed work, index-ordered merge (the `detector.rs` /
+    /// `engine.rs` pattern).
     pub fn build_batch_cst_jobs(
         &self,
         targets: &[(&Program, &Victim)],
         jobs: usize,
     ) -> Vec<Result<Arc<CstBbs>, ModelError>> {
-        self.batch(targets, jobs, |p, v| self.build_cst(p, v))
-    }
-
-    /// Build every sample of an eval set (convenience over
-    /// [`ModelBuilder::build_batch`]).
-    pub fn build_samples(
-        &self,
-        samples: &[Sample],
-    ) -> Vec<Result<Arc<ModelingOutcome>, ModelError>> {
-        let targets: Vec<(&Program, &Victim)> =
-            samples.iter().map(|s| (&s.program, &s.victim)).collect();
-        self.build_batch(&targets)
-    }
-
-    /// The shared worker pool: index-claimed work, index-ordered merge
-    /// (the `detector.rs` / `engine.rs` pattern).
-    fn batch<T: Send>(
-        &self,
-        targets: &[(&Program, &Victim)],
-        jobs: usize,
-        build_one: impl Fn(&Program, &Victim) -> Result<T, ModelError> + Sync,
-    ) -> Vec<Result<T, ModelError>> {
         let mut sp = sca_telemetry::span("builder.build_batch");
         let jobs = jobs.clamp(1, targets.len().max(1));
         if sp.is_recording() {
@@ -523,11 +264,10 @@ impl ModelBuilder {
             sca_telemetry::counter("builder.jobs", jobs as u64);
         }
         if jobs <= 1 {
-            return targets.iter().map(|(p, v)| build_one(p, v)).collect();
+            return targets.iter().map(|(p, v)| self.build_cst(p, v)).collect();
         }
         let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Result<T, ModelError>>>> =
-            targets.iter().map(|_| Mutex::new(None)).collect();
+        let slots: Vec<Mutex<Option<_>>> = targets.iter().map(|_| Mutex::new(None)).collect();
         std::thread::scope(|s| {
             for _ in 0..jobs {
                 s.spawn(|| loop {
@@ -536,7 +276,7 @@ impl ModelBuilder {
                         break;
                     }
                     let (p, v) = targets[i];
-                    *lock(&slots[i]) = Some(build_one(p, v));
+                    *lock(&slots[i]) = Some(self.build_cst(p, v));
                 });
             }
         });
@@ -563,17 +303,12 @@ impl ModelBuilder {
         if !self.dirty.swap(false, Ordering::Relaxed) {
             return Ok(());
         }
-        let models = lock(&self.models);
-        let entries: Vec<(&str, &CstBbs)> = models
-            .entries()
-            .map(|(k, v)| (k, v.model.as_ref()))
-            .collect();
-        persist::save_model_cache(entries, path)
+        persist::save_model_cache(lock(&self.store).entries(), path)
     }
 
     /// Number of cached models.
     pub fn len(&self) -> usize {
-        lock(&self.models).len()
+        lock(&self.store).len()
     }
 
     /// Whether the model store is empty.
@@ -585,54 +320,48 @@ impl ModelBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cst::{Cst, CstStep};
     use sca_attacks::poc::{self, PocParams};
 
-    #[test]
-    fn store_collision_compares_full_key() {
-        let mut store: Store<u32> = Store::new(16);
-        let a = ModelKey::with_forced_hash(42, "alpha");
-        let b = ModelKey::with_forced_hash(42, "beta");
-        store.insert(&a, 1);
-        assert_eq!(store.get(&a), Some(1));
-        // Same hash, different canonical key: never served a stale value.
-        assert_eq!(store.get(&b), None);
-        store.insert(&b, 2);
-        assert_eq!(store.get(&a), Some(1));
-        assert_eq!(store.get(&b), Some(2));
+    /// A one-step model told apart by its block address.
+    fn model(addr: u64) -> Arc<CstBbs> {
+        Arc::new(CstBbs::new(vec![CstStep {
+            bb_addr: addr,
+            norm_insts: Vec::new(),
+            cst: Cst::identity(),
+            first_seen: 0,
+        }]))
     }
 
     #[test]
     fn store_evicts_fifo_at_capacity() {
-        let mut store: Store<u32> = Store::new(2);
-        let keys: Vec<ModelKey> = (0..3)
-            .map(|i| ModelKey::from_canonical(format!("k{i}")))
-            .collect();
-        for (i, k) in keys.iter().enumerate() {
-            store.insert(k, i as u32);
+        let mut store = Store::default();
+        for i in 0..=CAPACITY as u64 {
+            store.insert(format!("k{i}").into(), model(i));
         }
-        assert_eq!(store.len(), 2);
-        assert_eq!(store.get(&keys[0]), None, "oldest entry evicted");
-        assert_eq!(store.get(&keys[1]), Some(1));
-        assert_eq!(store.get(&keys[2]), Some(2));
+        assert_eq!(store.len(), CAPACITY);
+        assert_eq!(store.get("k0"), None, "oldest entry evicted");
+        assert_eq!(store.get("k1"), Some(model(1)));
+        let last = CAPACITY as u64;
+        assert_eq!(store.get(&format!("k{last}")), Some(model(last)));
     }
 
     #[test]
     fn store_replaces_in_place() {
-        let mut store: Store<u32> = Store::new(4);
-        let k = ModelKey::from_canonical("k".into());
-        store.insert(&k, 1);
-        store.insert(&k, 2);
+        let mut store = Store::default();
+        store.insert("k".into(), model(1));
+        store.insert("k".into(), model(2));
         assert_eq!(store.len(), 1);
-        assert_eq!(store.get(&k), Some(2));
+        assert_eq!(store.get("k"), Some(model(2)));
     }
 
     #[test]
     fn store_entries_iterate_in_insertion_order() {
-        let mut store: Store<u32> = Store::new(8);
+        let mut store = Store::default();
         for i in 0..4 {
-            store.insert(&ModelKey::from_canonical(format!("k{i}")), i);
+            store.insert(format!("k{i}").into(), model(i));
         }
-        let got: Vec<u32> = store.entries().map(|(_, v)| *v).collect();
+        let got: Vec<u64> = store.entries().map(|(_, m)| m.steps()[0].bb_addr).collect();
         assert_eq!(got, vec![0, 1, 2, 3]);
     }
 
@@ -646,21 +375,24 @@ mod tests {
         let mut other_cap = base.clone();
         other_cap.path_cap += 1;
 
-        let k =
-            |s: &sca_attacks::Sample, c: &ModelingConfig| ModelKey::new(&s.program, &s.victim, c);
+        let k = |s: &sca_attacks::Sample, c: &ModelingConfig| {
+            ModelBuilder::new(c).key(&s.program, &s.victim)
+        };
         assert_eq!(k(&s1, &base), k(&s1, &base));
-        assert_ne!(k(&s1, &base).canonical, k(&s2, &base).canonical);
-        assert_ne!(k(&s1, &base).canonical, k(&s1, &other_replay).canonical);
-        assert_ne!(k(&s1, &base).canonical, k(&s1, &other_cap).canonical);
-        // The stage key ignores the replay-cache geometry…
+        assert_ne!(k(&s1, &base), k(&s2, &base));
+        assert_ne!(k(&s1, &base), k(&s1, &other_replay));
+        assert_ne!(k(&s1, &base), k(&s1, &other_cap));
+        // The layout `scaguard-modelcache v1` files were written with.
         assert_eq!(
-            stage_canonical(&s1.program, &s1.victim, &base),
-            stage_canonical(&s1.program, &s1.victim, &other_replay)
-        );
-        // …but not the path cap.
-        assert_ne!(
-            stage_canonical(&s1.program, &s1.victim, &base),
-            stage_canonical(&s1.program, &s1.victim, &other_cap)
+            k(&s1, &base),
+            format!(
+                "insts {:?} | victim {:?} | cpu {:?} | path_cap {} | cst_cache {:?}",
+                s1.program.insts(),
+                s1.victim,
+                base.cpu,
+                base.path_cap,
+                base.cst_cache
+            )
         );
     }
 }

@@ -58,7 +58,7 @@ pub mod stream;
 mod cst;
 mod detector;
 
-pub use builder::{BuilderStats, ModelBuilder, ModelKey};
+pub use builder::{BuilderStats, ModelBuilder};
 pub use cst::{Cst, CstBbs, CstStep};
 pub use detector::{
     detection_json, Detection, Detector, EntryScore, InvalidThreshold, ModelRepository, RepoEntry,

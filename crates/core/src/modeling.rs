@@ -134,12 +134,8 @@ fn block_sets(
 }
 
 /// Everything `build_model` computes *before* CST replay: the trace and
-/// the attack-relevant graph. This stage depends on the program, the
-/// victim, the CPU configuration, and the path cap — but **not** on the
-/// CST-replay cache geometry — so [`crate::builder::ModelBuilder`] caches
-/// it separately and reuses it across configs that differ only in
-/// `cst_cache` (e.g. the replay-policy ablations).
-#[derive(Debug, Clone)]
+/// the attack-relevant graph.
+#[derive(Debug)]
 pub(crate) struct TraceGraph {
     pub(crate) cfg: Cfg,
     pub(crate) trace: Trace,
@@ -161,22 +157,11 @@ pub fn build_model(
     victim: &Victim,
     config: &ModelingConfig,
 ) -> Result<ModelingOutcome, ModelError> {
-    let tg = collect_and_graph(program, victim, config)?;
-    Ok(finish_model(program, config, &tg, None))
-}
-
-/// Steps 0–5 of the pipeline: execute, collect, identify relevant blocks,
-/// and construct the attack-relevant graph (Algorithm 1).
-pub(crate) fn collect_and_graph(
-    program: &Program,
-    victim: &Victim,
-    config: &ModelingConfig,
-) -> Result<TraceGraph, ModelError> {
     // Step 0: runtime data collection (HPC + PT substitutes). The machine
     // itself emits the `pipeline.execute` span.
-    let mut machine = Machine::new(config.cpu.clone());
-    let trace = machine.run(program, victim)?;
-    Ok(graph_from_trace(program, trace, config))
+    let trace = Machine::new(config.cpu.clone()).run(program, victim)?;
+    let tg = graph_from_trace(program, trace, config);
+    Ok(finish_model(program, config, tg, None))
 }
 
 /// Steps 1–5 of the pipeline on an already-collected trace: per-block
@@ -252,13 +237,11 @@ pub(crate) fn graph_from_trace(
 
 /// Steps 6-7: CST measurement per relevant block and flattening by
 /// first-execution timestamp (ties and never-executed restored blocks
-/// fall back to address order). Pure in `(program, config.cst_cache, tg)`,
-/// so a cached [`TraceGraph`] finishes into an outcome byte-identical to
-/// the uncached path.
+/// fall back to address order). Pure in `(program, config.cst_cache, tg)`.
 pub(crate) fn finish_model(
     program: &Program,
     config: &ModelingConfig,
-    tg: &TraceGraph,
+    tg: TraceGraph,
     memo: Option<&ReplayMemo>,
 ) -> ModelingOutcome {
     let cst_bbs = model_from_blocks_memo(
@@ -271,12 +254,12 @@ pub(crate) fn finish_model(
     );
     ModelingOutcome {
         cst_bbs,
-        cfg: tg.cfg.clone(),
-        potential_bbs: tg.potential.clone(),
-        overlap_bbs: tg.overlap.clone(),
-        relevant_bbs: tg.relevant.clone(),
-        relevant_edges: tg.edges.clone(),
-        trace: tg.trace.clone(),
+        cfg: tg.cfg,
+        potential_bbs: tg.potential,
+        overlap_bbs: tg.overlap,
+        relevant_bbs: tg.relevant,
+        relevant_edges: tg.edges,
+        trace: tg.trace,
     }
 }
 
@@ -395,9 +378,11 @@ fn measure_cst(
 /// (geometry, policy, seed, partitioning) — nothing else reaches the
 /// simulator. The memo key is a byte-exact encoding of both, so a hit
 /// returns the identical `(Cst, CacheStats)` the replay would have
-/// produced. Blocks repeat heavily across mutated variants of the same
-/// PoC, which is where the savings come from. Collisions are handled by
-/// comparing the full key bytes, never the hash alone.
+/// produced. A [`crate::stream::StreamingModeler`] re-models every
+/// prefix of one run, so most blocks replay identically from one
+/// increment to the next, which is where the savings come from.
+/// Collisions are handled by comparing the full key bytes, never the
+/// hash alone.
 #[derive(Debug, Default)]
 pub(crate) struct ReplayMemo {
     map: Mutex<HashMap<u64, MemoBucket>>,
@@ -500,7 +485,7 @@ pub fn model_from_blocks(
 }
 
 /// [`model_from_blocks`] with an optional replay memo shared across
-/// models (the [`crate::builder::ModelBuilder`] passes one in).
+/// models (the streaming modeler passes its own in).
 pub(crate) fn model_from_blocks_memo(
     program: &Program,
     cfg: &Cfg,

@@ -483,7 +483,9 @@ pub fn model_cache_from_str(text: &str) -> Result<Vec<(String, CstBbs)>, LoadRep
     Ok(entries)
 }
 
-/// Write a model cache to `path`.
+/// Write a model cache to `path`: to a sibling file named with the
+/// process id, then renamed over `path`, so neither a save cut short nor
+/// a process reading the cache meanwhile leaves or sees a torn file.
 ///
 /// # Errors
 ///
@@ -493,10 +495,18 @@ pub fn save_model_cache<'a>(
     path: impl AsRef<Path>,
 ) -> Result<(), LoadRepoError> {
     let path = path.as_ref();
-    fs::write(path, model_cache_to_string(entries)).map_err(|error| LoadRepoError::Io {
-        path: Some(path.to_path_buf()),
-        error,
-    })
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(".{}.tmp", std::process::id()));
+    let tmp = PathBuf::from(tmp);
+    fs::write(&tmp, model_cache_to_string(entries))
+        .and_then(|()| fs::rename(&tmp, path))
+        .map_err(|error| {
+            let _ = fs::remove_file(&tmp);
+            LoadRepoError::Io {
+                path: Some(path.to_path_buf()),
+                error,
+            }
+        })
 }
 
 /// Read a model cache from `path`.

@@ -129,7 +129,7 @@ impl StreamingModeler {
     /// artifacts included), byte-identical to the batch outcome.
     pub fn model(&self) -> ModelingOutcome {
         let tg = graph_from_trace(&self.program, self.exec.trace(), &self.config);
-        finish_model(&self.program, &self.config, &tg, Some(&self.memo))
+        finish_model(&self.program, &self.config, tg, Some(&self.memo))
     }
 
     /// Replays served from the memo / replays actually simulated across

@@ -3,7 +3,7 @@
 use sca_attacks::poc::{self, PocParams};
 use sca_attacks::AttackFamily;
 use scaguard::modeling::BbIdentificationStats;
-use scaguard::{ModelBuilder, ModelError};
+use scaguard::{build_model, ModelError};
 
 use crate::EvalConfig;
 
@@ -34,20 +34,13 @@ impl BbIdRow {
 pub fn bb_identification(cfg: &EvalConfig) -> Result<Vec<BbIdRow>, ModelError> {
     let params = PocParams::default();
     let pocs = poc::all_pocs(&params);
-    let builder = ModelBuilder::new(&cfg.modeling).with_jobs(cfg.jobs);
-    let samples: Vec<_> = pocs.iter().map(|(s, _)| s.clone()).collect();
-    let outcomes = builder.build_samples(&samples);
     let mut rows = Vec::new();
     let mut avg = BbIdentificationStats::default();
     for family in AttackFamily::ALL {
         let mut fam_stats = BbIdentificationStats::default();
-        for ((sample, f), outcome) in pocs.iter().zip(&outcomes) {
-            if *f != family {
-                continue;
-            }
-            let outcome = outcome.as_ref().map_err(Clone::clone)?;
-            let s = BbIdentificationStats::compute(&sample.program, outcome);
-            fam_stats.merge(&s);
+        for (sample, _) in pocs.iter().filter(|(_, f)| *f == family) {
+            let outcome = build_model(&sample.program, &sample.victim, &cfg.modeling)?;
+            fam_stats.merge(&BbIdentificationStats::compute(&sample.program, &outcome));
         }
         avg.merge(&fam_stats);
         rows.push(BbIdRow {

@@ -3,9 +3,7 @@
 # everything runs --offline. Fails loudly on: formatting drift, build
 # errors, test failures, any clippy warning, a similarity-engine
 # perf/exactness regression (the bench smoke asserts bitwise-exact
-# scores and engine >= naive speed on a small workload), a ModelBuilder
-# exactness regression (the modeling smoke asserts builder output is
-# byte-identical to serial build_models at several job counts), a
+# scores and engine >= naive speed on a small workload), a
 # served-detection exactness regression (the batch smoke asserts a
 # pipelined classify-batch submission byte-identical to offline
 # `classify --json`), or a fault-tolerance regression (the chaos smoke
@@ -50,9 +48,6 @@ bash crates/bench/src/bin/scabench/run.sh --smoke --out target/scabench/smoke > 
 
 echo "==> similarity bench smoke"
 cargo run -p sca-bench --release --offline -- --smoke
-
-echo "==> modeling bench smoke"
-cargo run -p sca-bench --release --offline --bin modeling_bench -- --smoke
 
 echo "==> chaos fault-injection smoke"
 cargo test -p sca-serve --release --offline -q --test chaos

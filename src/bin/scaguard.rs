@@ -31,9 +31,9 @@ use sca_serve::protocol::{self, Request};
 use sca_serve::{Client, ClientConfig, ServeConfig, WatchOptions};
 use sca_telemetry::{Json, Record};
 use scaguard::{
-    detection_json, explain_similarity, index_sidecar_path, load_index, load_repository,
-    save_index, save_repository, Detector, IndexConfig, ModelBuilder, ModelRepository,
-    ModelingConfig, RepoIndex, ScanRequest,
+    build_model, detection_json, explain_similarity, index_sidecar_path, load_index,
+    load_repository, save_index, save_repository, Detector, IndexConfig, LoadRepoError,
+    ModelBuilder, ModelRepository, ModelingConfig, RepoIndex, ScanRequest,
 };
 
 /// Master seed for `build-repo --variants` (the dataset module's paper
@@ -66,8 +66,7 @@ fn usage() -> &'static str {
       best score, threshold) as a single JSON object on stdout; --timings
       prints an open/model/scan/render stage breakdown on stderr (open:
       loading the repository and its index; stdout is unchanged)
-  scaguard model <program.sasm> [--victim ...] [--model-cache <path>]
-          [--telemetry <out.jsonl>]
+  scaguard model <program.sasm> [--victim ...] [--telemetry <out.jsonl>]
       print the program's CST-BBS attack behavior model
   scaguard explain <program.sasm> --repo <repo-file> [--victim ...]
           [--no-index]
@@ -133,7 +132,8 @@ fn usage() -> &'static str {
       print the version
 
   --model-cache <path> persists built models content-addressed by
-  (program, victim, config), so repeated invocations skip modeling;
+  (program, victim, config), so repeated invocations skip modeling; a
+  malformed cache file is ignored with a warning and rewritten on exit;
   --telemetry <out.jsonl> records pipeline spans/counters during the
   command and writes them as JSON Lines (inspect with `scaguard stats`)"
 }
@@ -405,13 +405,22 @@ fn load_program(path: &str) -> Result<sca_isa::Program, Box<dyn Error>> {
 }
 
 /// The command's [`ModelBuilder`]: `--jobs` workers, `--model-cache`
-/// persistence when given.
+/// persistence when given. A malformed cache file (a torn save, a
+/// foreign file) starts the cache empty with a warning; the exit save
+/// replaces it.
 fn make_builder(opts: &Options) -> Result<ModelBuilder, Box<dyn Error>> {
     let mut builder = ModelBuilder::new(&ModelingConfig::default()).with_jobs(opts.jobs);
     if let Some(path) = &opts.model_cache {
-        builder = builder.with_disk_cache(path)?;
-        if !builder.is_empty() {
-            eprintln!("model cache: {} entries from {path}", builder.len());
+        builder = builder.with_disk_cache(path);
+        match builder.load_disk_cache() {
+            Ok(()) if !builder.is_empty() => {
+                eprintln!("model cache: {} entries from {path}", builder.len());
+            }
+            Ok(()) => {}
+            Err(e @ LoadRepoError::Parse { .. }) => {
+                eprintln!("model cache: {e}; starting empty");
+            }
+            Err(e) => return Err(e.into()),
         }
     }
     Ok(builder)
@@ -1057,9 +1066,9 @@ fn render_metrics(frame: &Json, out: &mut String) {
     }
 }
 
-fn cmd_model(path: &str, opts: &Options, builder: &ModelBuilder) -> Result<(), Box<dyn Error>> {
+fn cmd_model(path: &str, opts: &Options) -> Result<(), Box<dyn Error>> {
     let program = load_program(path)?;
-    let outcome = builder.build(&program, &opts.victim)?;
+    let outcome = build_model(&program, &opts.victim, &ModelingConfig::default())?;
     println!(
         "{}: {} blocks, {} potential, {} attack-relevant",
         program.name(),
@@ -1167,15 +1176,21 @@ fn run() -> Result<(), Box<dyn Error>> {
     if opts.telemetry.is_some() {
         sca_telemetry::set_enabled(true);
     }
-    let builder = make_builder(&opts)?;
-    let result = match cmd {
-        "build-repo" => cmd_build_repo(path, &opts, &builder),
-        "classify" => cmd_classify(path, &opts, &builder),
-        "model" => cmd_model(path, &opts, &builder),
-        "explain" => cmd_explain(path, &opts, &builder),
-        _ => Err(usage().into()),
+    // `model` prints CFG and graph counts, which no cached model holds,
+    // so it runs the pipeline itself and ignores `--model-cache`.
+    let result = if cmd == "model" {
+        cmd_model(path, &opts)
+    } else {
+        let builder = make_builder(&opts)?;
+        let result = match cmd {
+            "build-repo" => cmd_build_repo(path, &opts, &builder),
+            "classify" => cmd_classify(path, &opts, &builder),
+            "explain" => cmd_explain(path, &opts, &builder),
+            _ => Err(usage().into()),
+        };
+        builder.save_disk_cache()?;
+        result
     };
-    builder.save_disk_cache()?;
     finish_telemetry(&opts)?;
     result
 }

@@ -389,6 +389,44 @@ fn classify_timings_include_the_open_and_leave_stdout_unchanged() {
 }
 
 #[test]
+fn a_torn_model_cache_warns_and_is_rewritten() {
+    let dir = tmp_dir("torn-cache");
+    let repo = dir.join("pocs.repo").to_string_lossy().into_owned();
+    let cache = dir.join("m.cache").to_string_lossy().into_owned();
+    assert!(scaguard(&["build-repo", &repo]).status.success());
+    let fr = poc::flush_reload_mastik(&PocParams::default());
+    let fr_path = write_sasm(&dir, "t", &fr.program);
+    let args = ["classify", &fr_path, "--repo", &repo, "--json"];
+    let cached = [&args[..], &["--model-cache", &cache]].concat();
+    let plain = scaguard(&args);
+    assert!(plain.status.success());
+
+    // A one-entry cache, cut short the way a crash mid-save leaves it.
+    assert!(scaguard(&cached).status.success());
+    let bytes = fs::read(&cache).expect("cache written");
+    fs::write(&cache, &bytes[..300]).expect("truncate cache");
+
+    let torn = scaguard(&cached);
+    let stderr = String::from_utf8_lossy(&torn.stderr);
+    assert!(torn.status.success(), "a torn cache is not fatal: {stderr}");
+    assert_eq!(torn.stdout, plain.stdout, "the detection is unchanged");
+    assert!(
+        stderr.contains("model cache: ")
+            && stderr.contains(&cache)
+            && stderr.contains("unterminated model"),
+        "the warning names the file and the error: {stderr}"
+    );
+
+    // The torn run's exit save replaced the file.
+    let again = scaguard(&cached);
+    assert!(again.status.success());
+    assert_eq!(again.stdout, plain.stdout);
+    let stderr = String::from_utf8_lossy(&again.stderr);
+    assert!(stderr.contains("model cache: 1 entries"), "{stderr}");
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn a_whitespace_edited_repository_is_reindexed_with_identical_detections() {
     let dir = tmp_dir("whitespace");
     let repo = dir.join("pocs.repo").to_string_lossy().into_owned();
